@@ -6,7 +6,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/sym_eig.hpp"
 

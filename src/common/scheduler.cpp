@@ -488,4 +488,10 @@ SchedulerScope::~SchedulerScope() {
   detail::tl_scope_scheduler = previous_;
 }
 
+void parallel_for(std::int64_t n,
+                  FunctionRef<void(std::int64_t, std::int64_t)> fn,
+                  std::int64_t grain) {
+  Scheduler::current().parallel_for(n, fn, grain);
+}
+
 }  // namespace rt

@@ -1,6 +1,6 @@
 #pragma once
 // Work-stealing task scheduler: the substrate under every parallel loop in
-// the library (ThreadPool::parallel_for is a thin wrapper over it).
+// the library (the free rt::parallel_for below runs on Scheduler::current()).
 //
 // The old flat pool partitioned each parallel_for into one chunk per thread
 // and ran nested calls inline-serial, so batch-level and kernel-level
@@ -100,7 +100,7 @@ struct Worker;
 }  // namespace detail
 
 /// Fixed-size work-stealing scheduler. Construct explicitly for tests and
-/// benches; use Scheduler::instance() (or the ThreadPool wrapper) for the
+/// benches; use Scheduler::instance() (or the free rt::parallel_for) for the
 /// process-wide pool.
 class Scheduler {
  public:
@@ -258,5 +258,12 @@ class SchedulerScope {
  private:
   Scheduler* previous_;
 };
+
+/// Convenience wrapper over Scheduler::current().parallel_for — the current
+/// worker's scheduler inside a pool, an active SchedulerScope's, else the
+/// process-wide instance.
+void parallel_for(std::int64_t n,
+                  FunctionRef<void(std::int64_t, std::int64_t)> fn,
+                  std::int64_t grain = 0);
 
 }  // namespace rt

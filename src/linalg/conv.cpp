@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/audit.hpp"
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/microkernel_s8.hpp"

@@ -6,7 +6,6 @@
 
 #include "common/audit.hpp"
 #include "common/scheduler.hpp"
-#include "common/threadpool.hpp"
 #include "linalg/microkernel.hpp"
 
 namespace rt {

@@ -33,7 +33,7 @@ namespace rt {
 
 struct GemmOpts {
   bool accumulate = false;  ///< C += product instead of C = product.
-  bool parallel = true;     ///< Allow splitting C rows across the ThreadPool.
+  bool parallel = true;     ///< Allow splitting C rows across the Scheduler.
   /// nt/tt only: scan B for all-zero rows (channel-pruned weights) and skip
   /// them wholesale. Disable when B is an activation buffer that is never
   /// structurally zero — the scan costs one extra pass over B per call.

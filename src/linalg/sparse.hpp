@@ -1,6 +1,6 @@
 #pragma once
-// Compressed sparse row (CSR) matrices and the SpMM kernels behind the
-// engine's masked-ticket inference path.
+// Compressed sparse row (CSR) matrices and the SpMM kernel behind the
+// engine's masked-ticket linear head.
 //
 // The dense GEMM kernels in linalg/gemm.hpp skip zero multipliers
 // element-wise, but still pay a load + branch per masked weight. For
@@ -29,16 +29,10 @@ struct CsrMatrix {
 CsrMatrix csr_from_dense(std::int64_t rows, std::int64_t cols,
                          const float* dense);
 
-/// C(rows, n) = A * B with A in CSR and B dense (cols, n) row-major.
-/// Rows of A without nonzeros produce zero rows (C is cleared first unless
-/// accumulate). Cost is O(nnz * n). Standalone primitive for weight-times-
-/// column-buffer shapes; note the engine's CSR convs do NOT call it — they
-/// run an implicit sparse conv over precompiled taps (engine/plan.cpp).
-void spmm_csr(const CsrMatrix& a, std::int64_t n, const float* b, float* c,
-              bool accumulate = false);
-
 /// Y(m, rows) = X * A^T with X dense (m, cols) row-major: the linear-layer
-/// shape y = x W^T. Cost is O(m * nnz).
+/// shape y = x W^T. Cost is O(m * nnz). The engine's CSR convs do not call
+/// it — they run an implicit sparse conv over precompiled taps
+/// (engine/plan.cpp).
 void spmm_csr_rhs_t(const CsrMatrix& a, std::int64_t m, const float* x,
                     float* y, bool accumulate = false);
 

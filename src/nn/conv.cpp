@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 
 namespace rt {
 

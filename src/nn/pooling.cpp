@@ -3,7 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 
 namespace rt {
 

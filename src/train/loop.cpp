@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "attack/trades.hpp"
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 #include "nn/loss.hpp"
 
 namespace rt {

@@ -1,13 +1,11 @@
-// Unit tests for common utilities: RNG, thread pool, tables.
+// Unit tests for common utilities: RNG and tables.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/threadpool.hpp"
 
 namespace rt {
 namespace {
@@ -88,57 +86,6 @@ TEST(Rng, PermutationIsBijective) {
   EXPECT_EQ(seen.size(), 100u);
   EXPECT_EQ(*seen.begin(), 0);
   EXPECT_EQ(*seen.rbegin(), 99);
-}
-
-TEST(ThreadPool, CoversFullRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)]++;
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, HandlesEmptyAndSingle) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.parallel_for(0, [&](std::int64_t, std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.parallel_for(1, [&](std::int64_t b, std::int64_t e) {
-    EXPECT_EQ(b, 0);
-    EXPECT_EQ(e, 1);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  // A worker that re-enters parallel_for on its own pool must run the nested
-  // call inline; enqueueing would deadlock once every worker blocks on the
-  // shared pending counter. Each (outer, inner) pair must still fire once.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64 * 16);
-  pool.parallel_for(64, [&](std::int64_t ob, std::int64_t oe) {
-    for (std::int64_t o = ob; o < oe; ++o) {
-      pool.parallel_for(16, [&, o](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t i = ib; i < ie; ++i) {
-          hits[static_cast<std::size_t>(o * 16 + i)]++;
-        }
-      });
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ManySmallInvocations) {
-  ThreadPool pool(3);
-  std::atomic<std::int64_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(7, [&](std::int64_t b, std::int64_t e) {
-      total += e - b;
-    });
-  }
-  EXPECT_EQ(total.load(), 350);
 }
 
 TEST(Table, RendersAlignedColumns) {

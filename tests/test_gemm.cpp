@@ -136,7 +136,7 @@ TEST(Gemm, RandomShapeSweepSparse) {
 TEST(Gemm, BlockedAndParallelPaths) {
   // Shapes past the k/j panel sizes (128/256) and the parallel FLOP
   // threshold, dense and sparse, so the panel edges and row partitioning of
-  // the ThreadPool path are all exercised.
+  // the scheduler path are all exercised.
   Rng rng(0x5EED);
   check_case(70, 300, 150, 0.0f, /*parallel=*/true, rng);
   check_case(65, 130, 260, 0.6f, /*parallel=*/true, rng);

@@ -22,7 +22,6 @@
 
 #include "common/function_ref.hpp"
 #include "common/scheduler.hpp"
-#include "common/threadpool.hpp"
 #include "data/synth.hpp"
 #include "engine/engine.hpp"
 #include "linalg/conv.hpp"
@@ -47,18 +46,35 @@ TEST(FunctionRef, InvokesReferencedCallable) {
 }
 
 TEST(Scheduler, CoversFullRangeOnceAtEveryGrain) {
+  // Empty, single-element, small and large extents at every grain, through
+  // both the member and the free rt::parallel_for (which resolves to the
+  // scoped scheduler). The small extent repeats 50 times: many short loops
+  // back to back is the shape a training step issues per layer.
   Scheduler sched(4);
-  for (const std::int64_t grain : {0, 1, 7, 100, 5000}) {
-    std::vector<std::atomic<int>> hits(3001);
-    sched.parallel_for(
-        3001,
-        [&](std::int64_t b, std::int64_t e) {
+  SchedulerScope scope(sched);
+  for (const std::int64_t n : {0, 1, 7, 3001}) {
+    for (const std::int64_t grain : {0, 1, 7, 100, 5000}) {
+      const int rounds = n == 7 ? 50 : 1;
+      for (int round = 0; round < 2 * rounds; ++round) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+        std::atomic<int> calls{0};
+        const auto body = [&](std::int64_t b, std::int64_t e) {
+          ++calls;
           for (std::int64_t i = b; i < e; ++i) {
             hits[static_cast<std::size_t>(i)]++;
           }
-        },
-        grain);
-    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "grain " << grain;
+        };
+        if (round % 2 == 0) {
+          sched.parallel_for(n, body, grain);
+        } else {
+          parallel_for(n, body, grain);
+        }
+        for (const auto& h : hits) {
+          ASSERT_EQ(h.load(), 1) << "n " << n << " grain " << grain;
+        }
+        if (n <= 1) ASSERT_EQ(calls.load(), n) << "grain " << grain;
+      }
+    }
   }
 }
 
@@ -333,23 +349,6 @@ TEST(Scheduler, DefaultThreadCountHonorsRtThreadsEnv) {
   } else {
     unsetenv("RT_THREADS");
   }
-}
-
-TEST(ThreadPool, WrapperStillComposesNestedLoops) {
-  // The legacy entry point over the scheduler: nested calls decompose
-  // rather than flatten, and results cover the range exactly once.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(48 * 32);
-  pool.parallel_for(48, [&](std::int64_t ob, std::int64_t oe) {
-    for (std::int64_t o = ob; o < oe; ++o) {
-      pool.parallel_for(32, [&, o](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t i = ib; i < ie; ++i) {
-          hits[static_cast<std::size_t>(o * 32 + i)]++;
-        }
-      });
-    }
-  });
-  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST(Scheduler, MultiSessionEngineStress) {
