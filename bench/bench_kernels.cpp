@@ -143,12 +143,8 @@ BENCHMARK(BM_GemmNNThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // The training-path convolution pair (forward + full backward) across the
 // four ResNet-18 residual-body shapes at 32x32 input resolution, measured at
-// the kernel layer. Arg 0 runs the im2col reference (materialized column
-// buffer + legacy streaming GEMM cores — the pre-fusion baseline), Arg 1 the
-// fused implicit-GEMM kernels. Items == FLOPs, so items_per_second is
-// directly comparable between the two.
+// the kernel layer on the fused implicit-GEMM kernels. Items == FLOPs.
 void BM_ConvTrain(benchmark::State& state) {
-  const bool implicit = state.range(0) == 1;
   struct Shape {
     std::int64_t ch, h, w;
   };
@@ -174,8 +170,7 @@ void BM_ConvTrain(benchmark::State& state) {
     flops_per_iter += 3 * kBatch * 2 * s.ch * ckk * s.h * s.w;
   }
   rt::ConvKernelOpts opts;
-  opts.algo =
-      implicit ? rt::ConvAlgo::kImplicit : rt::ConvAlgo::kIm2colReference;
+  opts.weight_zero_fraction = 0.0f;  // dense weights: the packed path
 
   for (auto _ : state) {
     for (std::size_t l = 0; l < xs.size(); ++l) {
@@ -202,7 +197,7 @@ void BM_ConvTrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * flops_per_iter);
 }
-BENCHMARK(BM_ConvTrain)->Arg(0)->Arg(1);
+BENCHMARK(BM_ConvTrain);
 
 // Nested-parallel conv training step: batch-outer tasks with the batch
 // deliberately smaller than the lane count, so the flat decomposition (Arg 1
@@ -238,7 +233,7 @@ void BM_ConvTrainMT(benchmark::State& state) {
   rt::Scheduler sched(threads);
   rt::SchedulerScope scope(sched);
   rt::ConvKernelOpts opts;
-  opts.algo = rt::ConvAlgo::kImplicit;
+  opts.weight_zero_fraction = 0.0f;  // dense weights: the packed path
   opts.parallel_tiles = nested;
 
   for (auto _ : state) {

@@ -19,8 +19,9 @@
 #                                  # -DRT_SANITIZE=thread and run the
 #                                  # concurrency-heavy suites (scheduler,
 #                                  # engine, serving, registry, common, gemm,
-#                                  # quant kernels, prediction cache, socket
-#                                  # front-end) under ThreadSanitizer.
+#                                  # quant kernels, conv kernels, prediction
+#                                  # cache, socket front-end) under
+#                                  # ThreadSanitizer.
 #   scripts/check.sh --asan        # same suites under AddressSanitizer
 #                                  # (-DRT_SANITIZE=address).
 #   scripts/check.sh --ubsan       # same suites under UBSan with
@@ -58,10 +59,11 @@ ctest --test-dir build --output-on-failure -j"${JOBS}"
 
 # The concurrency-heavy suites every sanitizer pass exercises, plus the
 # quantized kernel suite (int8 packing/requant arithmetic is where UB —
-# narrowing, shifts, aliasing — would live). One list so the echo, the build
-# targets, and the ctest filter cannot drift apart.
+# narrowing, shifts, aliasing — would live) and the fp32 conv kernel suite
+# (gather/scatter index math and parallel_tiles). One list so the echo, the
+# build targets, and the ctest filter cannot drift apart.
 SAN_SUITES=(test_scheduler test_engine test_serving test_registry test_common
-            test_gemm test_quant_kernels test_cache test_net)
+            test_gemm test_quant_kernels test_conv_kernels test_cache test_net)
 SAN_FILTER="$(IFS='|'; echo "${SAN_SUITES[*]}")"
 
 # run_sanitizer_pass <name> <build_dir> <rt_sanitize_value>

@@ -17,6 +17,10 @@ namespace rt {
 
 namespace {
 
+// Bit width of int8_weights quantization: the native kernels' offset
+// arithmetic assumes q in [-127, 127].
+constexpr int kInt8Bits = 8;
+
 std::int64_t div_round_up(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
@@ -42,7 +46,7 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
   std::vector<float> scales;
   if (options.int8_weights) {
     scales = fake_quantize_matrix(w.data(), rows, cols,
-                                  QuantScheme::kPerChannel, options.int8_bits);
+                                  QuantScheme::kPerChannel, kInt8Bits);
   }
 
   std::int64_t nnz = 0;
@@ -145,10 +149,8 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
         static_cast<std::int64_t>(p.qscales.size()) * 4;  // fp32 scales
 
     // True int8 execution: pack the sidecar into the quantized kernel
-    // layer's executable operands. Native execution needs the full 8-bit
-    // encoding (the kernels' offset arithmetic assumes q in [-127, 127]);
-    // narrower bit-width sweeps keep the simulated float path.
-    if (options.int8_native && options.int8_bits == 8) {
+    // layer's executable operands.
+    if (options.int8_native) {
       if constexpr (requires { p.taps; }) {
         // Convs execute natively in every format: dense and channel-compact
         // through the quantized implicit-GEMM (quad panels + offset
@@ -445,8 +447,7 @@ CompiledTicket Engine::compile(const ResNet& model,
   t.max_plane_floats_ = extents.plane;
   t.tmp_floats_ = extents.tmp;
   t.max_ohw_ = extents.ohw;
-  t.int8_native_ = options.int8_weights && options.int8_native &&
-                   options.int8_bits == 8;
+  t.int8_native_ = options.int8_weights && options.int8_native;
   return t;
 }
 

@@ -14,6 +14,13 @@ namespace rt {
 
 namespace {
 
+// Unstructured density at or below which CSR wins over the dense kernel's
+// element-wise zero skipping (~80% sparsity, matching hw/storage).
+constexpr float kCsrMaxDensity = 0.2f;
+// Row-structured masks: channel-compact when the kept-row fraction is at or
+// below this and the surviving rows are mostly dense.
+constexpr float kCompactMaxRowFraction = 0.95f;
+
 /// Shortcut add + ReLU. When `track_amax` (int8-native plans), returns the
 /// batch max of the result — the ReLU output is non-negative, so the max
 /// value IS the amax the next layer's activation quantization needs. The
@@ -58,11 +65,11 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
                            static_cast<double>(rows);
   // Row-structured sparsity: the surviving rows are mostly dense, so compact
   // them and run the dense kernel at reduced height.
-  if (kept_frac <= options.compact_max_row_fraction &&
+  if (kept_frac <= kCompactMaxRowFraction &&
       density / kept_frac >= 0.5) {
     return PackedFormat::kChannelCompact;
   }
-  if (density <= options.csr_max_density) return PackedFormat::kCsr;
+  if (density <= kCsrMaxDensity) return PackedFormat::kCsr;
   return PackedFormat::kDense;
 }
 

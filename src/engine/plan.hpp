@@ -55,22 +55,14 @@ struct CompileOptions {
   /// Per-layer packing override; unset selects per layer from the weight's
   /// zero structure (see choose_packed_format).
   std::optional<PackedFormat> force_format;
-  /// Unstructured density at or below which CSR wins over the dense kernel's
-  /// element-wise zero skipping (~80% sparsity, matching hw/storage).
-  float csr_max_density = 0.2f;
-  /// Row-structured masks: channel-compact when the kept-row fraction is at
-  /// or below this and the surviving rows are mostly dense.
-  float compact_max_row_fraction = 0.95f;
 
   /// Quantize folded weights to int8 (symmetric per output channel) before
   /// packing; the plan's byte accounting prices the int8 encoding.
   bool int8_weights = false;
-  int int8_bits = 8;
   /// Execute int8 plans natively on the quantized kernel layer (int32
-  /// accumulation, dynamic per-batch activation scales) instead of the
-  /// legacy simulated-PTQ float path. Native execution requires the full
-  /// 8-bit encoding; narrower int8_bits settings (the bit-width sweeps in
-  /// analysis tooling) fall back to simulation automatically.
+  /// accumulation, dynamic per-batch activation scales). false runs the
+  /// same fp32 executor on the fake-quantized weights instead: the
+  /// simulated-PTQ reference the int8 parity tests compare against.
   bool int8_native = true;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/audit.hpp"
 #include "common/scheduler.hpp"
-#include "linalg/gemm.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/microkernel_s8.hpp"
 
@@ -24,8 +23,6 @@ constexpr std::int64_t kMcScatter = 64;
 // throughput advantage — the same reasoning as the GEMM dispatch in
 // gemm.cpp, and it matches the serving engine's CSR cutoff (density <= 0.2)
 // so training and serving flip to sparse execution at the same sparsity.
-
-enum class Path { kPacked, kTaps, kRef };
 
 /// Decode table for flattened weight columns: column index r of the
 /// (out_ch, C*k*k) weight matrix touches input channel c[r] at kernel
@@ -162,7 +159,7 @@ void pack_colt_panel(const float* x, std::int64_t h, std::int64_t w,
 
 /// Scatter-adds a computed dcol tile (rows [row0, row0+rows) x pixels
 /// [pixel0, pixel0+count), leading dimension count) into the dX plane —
-/// col2im restricted to one cache-hot tile.
+/// the column-to-image scatter restricted to one cache-hot tile.
 void scatter_col_tile(const float* tile, std::int64_t row0, std::int64_t rows,
                       std::int64_t pixel0, std::int64_t count,
                       const DecodeTable& dec, const ConvGeometry& g,
@@ -222,15 +219,14 @@ void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
   }
 }
 
-Path resolve_path(const ConvKernelOpts& opts, const float* weight,
-                  std::int64_t count, bool taps_available) {
-  if (opts.algo == ConvAlgo::kIm2colReference) return Path::kRef;
-  if (opts.algo == ConvAlgo::kImplicit || !taps_available) {
-    return Path::kPacked;
-  }
+/// Forward/dgrad dispatch: the weight's zero fraction (the caller's
+/// precomputed value, else counted here) picks the tap path past the
+/// crossover, the packed path below it.
+bool use_taps(const ConvKernelOpts& opts, const float* weight,
+              std::int64_t count) {
   float zf = opts.weight_zero_fraction;
   if (zf < 0.0f) zf = weight_zero_fraction(weight, count);
-  return zf >= kConvSparseWeightFraction ? Path::kTaps : Path::kPacked;
+  return zf >= kConvSparseWeightFraction;
 }
 
 /// Runs `tiles(t0, t1)` over the `count` output-column tiles of a packed
@@ -354,18 +350,6 @@ RT_HOT void forward_taps(const float* x, std::int64_t c_in, std::int64_t h,
   }
 }
 
-void forward_ref(const float* x, std::int64_t c_in, std::int64_t h,
-                 std::int64_t w, const ConvGeometry& g, const float* weight,
-                 std::int64_t out_ch, float* y) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  thread_local std::vector<float> colbuf;
-  colbuf.resize(static_cast<std::size_t>(ckk * ohw));
-  im2col_plane(x, c_in, h, w, g, colbuf.data());
-  gemm_nn(out_ch, ohw, ckk, weight, colbuf.data(), y,
-          {.accumulate = true, .parallel = false, .packed = false});
-}
-
 // ---- input gradient ---------------------------------------------------------
 
 RT_HOT void dgrad_packed(const float* weight, std::int64_t out_ch,
@@ -461,18 +445,6 @@ void dgrad_taps(const float* weight, std::int64_t out_ch, const float* gout,
   }
 }
 
-void dgrad_ref(const float* weight, std::int64_t out_ch, const float* gout,
-               std::int64_t c_in, std::int64_t h, std::int64_t w,
-               const ConvGeometry& g, float* dx) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  thread_local std::vector<float> dcol;
-  dcol.resize(static_cast<std::size_t>(ckk * ohw));
-  gemm_tn(ckk, ohw, out_ch, weight, gout, dcol.data(),
-          {.accumulate = false, .parallel = false, .packed = false});
-  col2im_plane_add(dcol.data(), c_in, h, w, g, dx);
-}
-
 // ---- weight gradient --------------------------------------------------------
 
 RT_HOT void wgrad_packed(const float* gout, const float* x, std::int64_t c_in,
@@ -525,19 +497,6 @@ RT_HOT void wgrad_packed(const float* gout, const float* x, std::int64_t c_in,
       }
     }
   });
-}
-
-void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
-               std::int64_t h, std::int64_t w, const ConvGeometry& g,
-               std::int64_t out_ch, float* dw) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  thread_local std::vector<float> colbuf;
-  colbuf.resize(static_cast<std::size_t>(ckk * ohw));
-  im2col_plane(x, c_in, h, w, g, colbuf.data());
-  gemm_nt(out_ch, ckk, ohw, gout, colbuf.data(), dw,
-          {.accumulate = true, .parallel = false, .skip_zero_b_rows = false,
-           .packed = false});
 }
 
 // ---- int8 forward -----------------------------------------------------------
@@ -1068,13 +1027,10 @@ void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
   std::memset(y, 0, static_cast<std::size_t>(out_ch * oh * ow) *
                         sizeof(float));
-  switch (resolve_path(opts, weight, out_ch * ckk, /*taps_available=*/true)) {
-    case Path::kPacked:
-      forward_packed(x, c_in, h, w, g, weight, out_ch, y, opts);
-      break;
-    case Path::kTaps: forward_taps(x, c_in, h, w, g, weight, out_ch, y);
-      break;
-    case Path::kRef: forward_ref(x, c_in, h, w, g, weight, out_ch, y); break;
+  if (use_taps(opts, weight, out_ch * ckk)) {
+    forward_taps(x, c_in, h, w, g, weight, out_ch, y);
+  } else {
+    forward_packed(x, c_in, h, w, g, weight, out_ch, y, opts);
   }
   bias_relu_epilogue(y, bias, out_ch, oh * ow, relu);
 }
@@ -1087,14 +1043,10 @@ void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  switch (resolve_path(opts, weight, out_ch * ckk, /*taps_available=*/true)) {
-    case Path::kPacked:
-      dgrad_packed(weight, out_ch, gout, c_in, h, w, g, dx, opts);
-      break;
-    case Path::kTaps: dgrad_taps(weight, out_ch, gout, c_in, h, w, g, dx);
-      break;
-    case Path::kRef: dgrad_ref(weight, out_ch, gout, c_in, h, w, g, dx);
-      break;
+  if (use_taps(opts, weight, out_ch * ckk)) {
+    dgrad_taps(weight, out_ch, gout, c_in, h, w, g, dx);
+  } else {
+    dgrad_packed(weight, out_ch, gout, c_in, h, w, g, dx, opts);
   }
 }
 
@@ -1105,11 +1057,7 @@ void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  if (opts.algo == ConvAlgo::kIm2colReference) {
-    wgrad_ref(gout, x, c_in, h, w, g, out_ch, dw);
-  } else {
-    wgrad_packed(gout, x, c_in, h, w, g, out_ch, dw, opts);
-  }
+  wgrad_packed(gout, x, c_in, h, w, g, out_ch, dw, opts);
 }
 
 void PackedWeights::pack(const float* weight, std::int64_t out_ch,
@@ -1135,54 +1083,6 @@ void PackedWeights::clear() {
   dgrad_.clear();
   out_ch_ = 0;
   ckk_ = 0;
-}
-
-void im2col_plane(const float* xd, std::int64_t c_in, std::int64_t h,
-                  std::int64_t w, const ConvGeometry& g, float* col) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < c_in; ++c) {
-    const float* xc = xd + c * h * w;
-    for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
-      for (std::int64_t kj = 0; kj < g.kernel; ++kj, ++row) {
-        float* out = col + row * oh * ow;
-        for (std::int64_t oi = 0; oi < oh; ++oi) {
-          const std::int64_t ii = oi * g.stride - g.padding + ki;
-          const bool row_in = ii >= 0 && ii < h;
-          const float* xrow = row_in ? xc + ii * w : xc;
-          for (std::int64_t oj = 0; oj < ow; ++oj) {
-            const std::int64_t jj = oj * g.stride - g.padding + kj;
-            out[oi * ow + oj] =
-                (row_in && jj >= 0 && jj < w) ? xrow[jj] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im_plane_add(const float* col, std::int64_t c_in, std::int64_t h,
-                      std::int64_t w, const ConvGeometry& g, float* dx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < c_in; ++c) {
-    float* xc = dx + c * h * w;
-    for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
-      for (std::int64_t kj = 0; kj < g.kernel; ++kj, ++row) {
-        const float* in = col + row * oh * ow;
-        for (std::int64_t oi = 0; oi < oh; ++oi) {
-          const std::int64_t ii = oi * g.stride - g.padding + ki;
-          if (ii < 0 || ii >= h) continue;
-          for (std::int64_t oj = 0; oj < ow; ++oj) {
-            const std::int64_t jj = oj * g.stride - g.padding + kj;
-            if (jj >= 0 && jj < w) xc[ii * w + jj] += in[oi * ow + oj];
-          }
-        }
-      }
-    }
-  }
 }
 
 TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,

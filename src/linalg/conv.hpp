@@ -1,7 +1,10 @@
 #pragma once
 // Convolution kernel layer: fused implicit-GEMM forward / input-gradient /
-// weight-gradient over one (C, H, W) plane, plus the im2col/col2im reference
-// kernels they are verified against.
+// weight-gradient over one (C, H, W) plane, plus the int8 serving forward.
+// The weight operand picks the fp32 path (packed implicit GEMM or
+// zero-skipping taps); no caller-set switch overrides it. The direct-loop
+// oracle these kernels are verified against lives in
+// tests/test_conv_kernels.cpp.
 //
 // The implicit kernels view the convolution as the GEMMs
 //
@@ -50,19 +53,6 @@ struct ConvGeometry {
   }
 };
 
-/// Algorithm selection for the plane-level conv kernels.
-enum class ConvAlgo {
-  /// Packed implicit GEMM for dense-ish weights, the zero-skipping tap path
-  /// once the weight's zero fraction crosses the sparsity threshold.
-  kAuto,
-  /// Always the packed implicit-GEMM path.
-  kImplicit,
-  /// Materialize the full im2col buffer and run the legacy streaming GEMM
-  /// cores — the pre-fusion baseline, kept for parity tests and as the
-  /// speedup reference in bench_kernels.
-  kIm2colReference,
-};
-
 /// Weight zero fraction past which the zero-skipping tap path overtakes the
 /// packed implicit-GEMM path's higher dense throughput (~5x dense advantage,
 /// same reasoning as the GEMM dispatch crossover). Exported so batch loops
@@ -109,10 +99,11 @@ class PackedWeights {
 };
 
 struct ConvKernelOpts {
-  ConvAlgo algo = ConvAlgo::kAuto;
   /// Fraction of zero entries in the weight matrix; negative = unknown, in
-  /// which case kAuto counts it per call. Batch loops should count once
-  /// (weights are shared across samples) and pass the value down.
+  /// which case forward/dgrad count it per call. It alone picks the path:
+  /// the tap path at or past kConvSparseWeightFraction, the packed path
+  /// below. Batch loops should count once (weights are shared across
+  /// samples) and pass the value down.
   float weight_zero_fraction = -1.0f;
   /// Pre-packed panels for this weight (see PackedWeights). Consulted only
   /// when the packed implicit-GEMM path runs and the extents match; the
@@ -198,18 +189,6 @@ void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
                         std::int64_t h, std::int64_t w, const ConvGeometry& g,
                         std::int64_t out_ch, float* dw,
                         const ConvKernelOpts& opts = {});
-
-/// Reference/fallback: expands one (C, H, W) plane at `x` into a full
-/// (C*k*k, OH*OW) column buffer. Out-of-image taps read as zero. Retained as
-/// the parity oracle for the implicit kernels and for the engine's CSR
-/// workspace sizing; the training and serving hot paths no longer call it.
-void im2col_plane(const float* x, std::int64_t c_in, std::int64_t h,
-                  std::int64_t w, const ConvGeometry& g, float* col);
-
-/// Reference/fallback inverse (adjoint) of im2col_plane: scatter-adds a full
-/// (C*k*k, OH*OW) column gradient into the (c_in, h, w) plane at `dx`.
-void col2im_plane_add(const float* col, std::int64_t c_in, std::int64_t h,
-                      std::int64_t w, const ConvGeometry& g, float* dx);
 
 /// Exact zero fraction of a weight matrix — the value batch loops pass as
 /// ConvKernelOpts::weight_zero_fraction.

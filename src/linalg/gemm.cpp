@@ -115,7 +115,7 @@ void axpy_core(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
 
 // dot core: crow[j] += <arow, B-row j> over k-panels; B is (n x k) and rows
 // that are entirely zero (channel-pruned weights) are skipped wholesale via
-// the precomputed skip mask (null when the caller disabled the scan).
+// the precomputed skip mask.
 void dot_core(std::int64_t n, std::int64_t k, const float* a, const float* b,
               float* c, bool accumulate, const std::uint8_t* b_row_zero,
               std::int64_t i0, std::int64_t i1) {
@@ -128,7 +128,7 @@ void dot_core(std::int64_t n, std::int64_t k, const float* a, const float* b,
         const float* arow = a + i * k + kc;
         float* crow = c + i * n;
         for (std::int64_t j = jc; j < je; ++j) {
-          if (b_row_zero && b_row_zero[static_cast<std::size_t>(j)]) continue;
+          if (b_row_zero[static_cast<std::size_t>(j)]) continue;
           const float* brow = b + j * k + kc;
           float acc = 0.0f;
           for (std::int64_t kk = 0; kk < kb; ++kk) acc += arow[kk] * brow[kk];
@@ -232,10 +232,8 @@ template <bool kTransA>
 void gemm_axpy_family(std::int64_t m, std::int64_t n, std::int64_t k,
                       const float* a, const float* b, float* c,
                       const GemmOpts& opts) {
-  const bool sparse =
-      !opts.packed ||
-      (m > 0 && n > 0 && k > 0 &&
-       sample_zero_fraction(a, m * k) >= kSparseAFraction);
+  const bool sparse = m > 0 && n > 0 && k > 0 &&
+                      sample_zero_fraction(a, m * k) >= kSparseAFraction;
   dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
     if (sparse) {
       axpy_core<kTransA>(m, n, k, a, b, c, opts.accumulate, i0, i1);
@@ -269,13 +267,11 @@ void gemm_nt_dispatch(std::int64_t m, std::int64_t n, std::int64_t k,
                       const std::vector<std::uint8_t>& b_row_zero) {
   std::int64_t zero_count = 0;
   for (const std::uint8_t z : b_row_zero) zero_count += z;
-  const bool sparse =
-      !opts.packed ||
-      static_cast<float>(zero_count) >=
-          kSparseBRowFraction * static_cast<float>(n);
+  const bool sparse = static_cast<float>(zero_count) >=
+                      kSparseBRowFraction * static_cast<float>(n);
   if (sparse) {
-    const std::uint8_t* mask =
-        b_row_zero.empty() ? nullptr : b_row_zero.data();
+    // Past the crossover the scan ran (zero_count > 0), so the mask exists.
+    const std::uint8_t* mask = b_row_zero.data();
     dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
       dot_core(n, k, a, b, c, opts.accumulate, mask, i0, i1);
     });
@@ -313,10 +309,8 @@ void gemm_tt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
     b_row_zero = scan_zero_rows(n, k, b);
     for (const std::uint8_t z : b_row_zero) zero_count += z;
   }
-  const bool sparse =
-      !opts.packed ||
-      static_cast<float>(zero_count) >=
-          kSparseBRowFraction * static_cast<float>(n);
+  const bool sparse = static_cast<float>(zero_count) >=
+                      kSparseBRowFraction * static_cast<float>(n);
   if (!sparse) {
     // Both transposes are absorbed by the packing routines; no A^T copy.
     dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
@@ -324,7 +318,7 @@ void gemm_tt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
     });
     return;
   }
-  // Skip/reference path (no hot caller transposes both sides): materialize
+  // Skip path (no hot caller transposes both sides): materialize
   // A^T once, then reuse the nt machinery with the scan already in hand.
   std::vector<float> at(static_cast<std::size_t>(m * k));
   for (std::int64_t kk = 0; kk < k; ++kk) {

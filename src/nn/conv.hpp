@@ -5,7 +5,7 @@
 // Forward and backward parallelize over the batch dimension; each sample
 // runs the plane kernels, so all convolution arithmetic (including the
 // masked-weight tap fast path) lives in the linalg kernel layer. No
-// per-sample im2col/col2im buffer is materialized on the training path —
+// per-sample column buffer is materialized on the training path —
 // the per-batch weight zero fraction is counted once and passed down so the
 // kernels pick the packed or tap path without re-probing per sample, and
 // when the packed path will run, the weight panels are pre-packed once per
@@ -22,18 +22,6 @@
 #include "nn/module.hpp"
 
 namespace rt {
-
-/// Expands one sample of x (N,C,H,W) into a (C*k*k, OH*OW) column buffer.
-/// `col` must have C*k*k*OH*OW elements. Out-of-image taps read as zero.
-/// Reference/tooling wrapper over linalg's im2col_plane; the training hot
-/// path no longer calls it.
-void im2col(const Tensor& x, std::int64_t sample, const ConvGeometry& g,
-            float* col);
-
-/// Scatter-adds a (C*k*k, OH*OW) column gradient back into dx (N,C,H,W) at
-/// the given sample. Inverse (adjoint) of im2col.
-void col2im_add(const float* col, std::int64_t sample, const ConvGeometry& g,
-                Tensor& dx);
 
 /// Convolution layer. Weight layout is (out_ch, in_ch*k*k); column index c
 /// decodes as in_ch = c/(k*k), kernel row = (c%(k*k))/k, kernel col = c%k.

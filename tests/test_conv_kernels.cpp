@@ -1,8 +1,8 @@
-// Conformance tests for the fused implicit-GEMM convolution kernels in
-// linalg/conv.hpp: forward, input-gradient, and weight-gradient parity
-// against the materialized im2col reference across kernel x stride x
-// padding x odd-extent geometries, the masked-weight tap path against the
-// same oracle, and a finite-difference gradcheck on a masked Conv2d layer.
+// Conformance tests for the fp32 convolution kernels in linalg/conv.hpp:
+// forward, input-gradient and weight-gradient against a direct-loop oracle
+// (accumulating in double) across kernel x stride x padding x odd-extent
+// geometries, on both the packed implicit-GEMM path and the zero-skipping
+// tap path, plus a finite-difference gradcheck on a masked Conv2d layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,22 +32,99 @@ std::vector<float> random_vec(std::int64_t count, Rng& rng,
   return out;
 }
 
+/// Calls f(oc, p, y_idx, x_idx) for every in-bounds (output pixel, weight
+/// column) pair: weight (oc, p) multiplies input x_idx into output y_idx.
+/// Taps that land in the zero padding are skipped.
+template <typename F>
+void for_each_tap(const Case& c, const F& f) {
+  const std::int64_t k = c.g.kernel;
+  const std::int64_t oh = c.g.out_extent(c.h);
+  const std::int64_t ow = c.g.out_extent(c.w);
+  for (std::int64_t oc = 0; oc < c.out_ch; ++oc) {
+    for (std::int64_t oi = 0; oi < oh; ++oi) {
+      for (std::int64_t oj = 0; oj < ow; ++oj) {
+        for (std::int64_t ci = 0; ci < c.c_in; ++ci) {
+          for (std::int64_t ki = 0; ki < k; ++ki) {
+            const std::int64_t ii = oi * c.g.stride - c.g.padding + ki;
+            if (ii < 0 || ii >= c.h) continue;
+            for (std::int64_t kj = 0; kj < k; ++kj) {
+              const std::int64_t jj = oj * c.g.stride - c.g.padding + kj;
+              if (jj < 0 || jj >= c.w) continue;
+              f(oc, (ci * k + ki) * k + kj, (oc * oh + oi) * ow + oj,
+                (ci * c.h + ii) * c.w + jj);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::size_t at(std::int64_t i) { return static_cast<std::size_t>(i); }
+
+/// y = conv(x, w) + bias, optionally clamped at zero.
+std::vector<float> ref_forward(const Case& c, const std::vector<float>& x,
+                               const std::vector<float>& w,
+                               const std::vector<float>& bias, bool relu) {
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
+  std::vector<double> acc(at(c.out_ch * ohw), 0.0);
+  for_each_tap(c, [&](std::int64_t oc, std::int64_t p, std::int64_t yi,
+                      std::int64_t xi) {
+    acc[at(yi)] += static_cast<double>(w[at(oc * ckk + p)]) * x[at(xi)];
+  });
+  std::vector<float> y(acc.size());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const double v = acc[i] + bias[i / at(ohw)];
+    y[i] = static_cast<float>(relu ? std::max(v, 0.0) : v);
+  }
+  return y;
+}
+
+/// dx = prior + conv^T(gout, w).
+std::vector<float> ref_dgrad(const Case& c, const std::vector<float>& w,
+                             const std::vector<float>& gout,
+                             const std::vector<float>& prior) {
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  std::vector<double> acc(prior.begin(), prior.end());
+  for_each_tap(c, [&](std::int64_t oc, std::int64_t p, std::int64_t yi,
+                      std::int64_t xi) {
+    acc[at(xi)] += static_cast<double>(w[at(oc * ckk + p)]) * gout[at(yi)];
+  });
+  return std::vector<float>(acc.begin(), acc.end());
+}
+
+/// dw = prior + gout * col(x)^T.
+std::vector<float> ref_wgrad(const Case& c, const std::vector<float>& x,
+                             const std::vector<float>& gout,
+                             const std::vector<float>& prior) {
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  std::vector<double> acc(prior.begin(), prior.end());
+  for_each_tap(c, [&](std::int64_t oc, std::int64_t p, std::int64_t yi,
+                      std::int64_t xi) {
+    acc[at(oc * ckk + p)] += static_cast<double>(gout[at(yi)]) * x[at(xi)];
+  });
+  return std::vector<float>(acc.begin(), acc.end());
+}
+
 void expect_near(const std::vector<float>& got, const std::vector<float>& want,
-                 const char* what, const Case& c) {
+                 const char* what, const Case& c, float hint) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     const float scale = std::max(1.0f, std::fabs(want[i]));
     ASSERT_NEAR(got[i], want[i], 1e-4f * scale)
         << what << " k=" << c.g.kernel << " s=" << c.g.stride
         << " p=" << c.g.padding << " c_in=" << c.c_in << " out=" << c.out_ch
-        << " h=" << c.h << " w=" << c.w << " index=" << i;
+        << " h=" << c.h << " w=" << c.w << " zero_fraction_hint=" << hint
+        << " index=" << i;
   }
 }
 
-/// Runs forward/dgrad/wgrad through `algo` and through the im2col reference
-/// on the same random problem and demands agreement at <= 1e-4.
-void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
-                Rng& rng) {
+/// Runs forward/dgrad/wgrad on one random problem and demands agreement
+/// with the direct-loop oracle at <= 1e-4. Forward and dgrad run twice, with
+/// the zero-fraction hint forcing the packed path (0.0) and the tap path
+/// (1.0); wgrad has only the packed path.
+void check_case(const Case& c, float weight_zero_fraction, Rng& rng) {
   const std::int64_t oh = c.g.out_extent(c.h);
   const std::int64_t ow = c.g.out_extent(c.w);
   ASSERT_GT(oh, 0);
@@ -58,39 +135,33 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
       random_vec(c.out_ch * ckk, rng, weight_zero_fraction);
   const std::vector<float> gout = random_vec(c.out_ch * oh * ow, rng, 0.0f);
   const std::vector<float> bias = random_vec(c.out_ch, rng, 0.0f);
+  // dgrad/wgrad accumulate: start from a nonzero prior.
+  const std::vector<float> dx0 = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
+  const std::vector<float> dw0 = random_vec(c.out_ch * ckk, rng, 0.0f);
 
-  const ConvKernelOpts test_opts{algo, -1.0f};
-  const ConvKernelOpts ref_opts{ConvAlgo::kIm2colReference, -1.0f};
-
-  for (const bool relu : {false, true}) {
-    std::vector<float> y(static_cast<std::size_t>(c.out_ch * oh * ow), -3.0f);
-    std::vector<float> y_ref = y;
-    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y.data(), bias.data(), relu, test_opts);
-    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y_ref.data(), bias.data(), relu, ref_opts);
-    expect_near(y, y_ref, relu ? "forward+relu" : "forward", c);
+  for (const float hint : {0.0f, 1.0f}) {
+    const ConvKernelOpts opts{.weight_zero_fraction = hint};
+    for (const bool relu : {false, true}) {
+      std::vector<float> y(static_cast<std::size_t>(c.out_ch * oh * ow),
+                           -3.0f);
+      conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(),
+                           c.out_ch, y.data(), bias.data(), relu, opts);
+      expect_near(y, ref_forward(c, x, w, bias, relu),
+                  relu ? "forward+relu" : "forward", c, hint);
+    }
+    std::vector<float> dx = dx0;
+    conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w,
+                       c.g, dx.data(), opts);
+    expect_near(dx, ref_dgrad(c, w, gout, dx0), "dgrad", c, hint);
   }
 
-  // dgrad accumulates: seed both sides with the same nonzero prior.
-  std::vector<float> dx = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
-  std::vector<float> dx_ref = dx;
-  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
-                     dx.data(), test_opts);
-  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
-                     dx_ref.data(), ref_opts);
-  expect_near(dx, dx_ref, "dgrad", c);
-
-  std::vector<float> dw = random_vec(c.out_ch * ckk, rng, 0.0f);
-  std::vector<float> dw_ref = dw;
+  std::vector<float> dw = dw0;
   conv2d_wgrad_plane(gout.data(), x.data(), c.c_in, c.h, c.w, c.g, c.out_ch,
-                     dw.data(), test_opts);
-  conv2d_wgrad_plane(gout.data(), x.data(), c.c_in, c.h, c.w, c.g, c.out_ch,
-                     dw_ref.data(), ref_opts);
-  expect_near(dw, dw_ref, "wgrad", c);
+                     dw.data());
+  expect_near(dw, ref_wgrad(c, x, gout, dw0), "wgrad", c, -1.0f);
 }
 
-TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
+TEST(ConvKernels, MatchDirectLoopAcrossGeometries) {
   Rng rng(0xC0DE);
   // kernel x stride x padding sweep at deliberately odd extents, plus
   // channel counts that leave panel tails in every blocking dimension.
@@ -99,60 +170,49 @@ TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
       for (const std::int64_t padding : {0, 1, 3}) {
         const Case c{5, 9, 13, 11, ConvGeometry{kernel, stride, padding}};
         if (c.g.out_extent(c.h) <= 0 || c.g.out_extent(c.w) <= 0) continue;
-        check_case(c, 0.0f, ConvAlgo::kImplicit, rng);
+        check_case(c, 0.0f, rng);
       }
     }
   }
 }
 
-TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
+TEST(ConvKernels, MatchDirectLoopAtMicroResNetShapes) {
   Rng rng(0xB16);
-  check_case({3, 16, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f,
-             ConvAlgo::kImplicit, rng);
-  check_case({16, 32, 16, 16, ConvGeometry{3, 2, 1}}, 0.0f,
-             ConvAlgo::kImplicit, rng);
-  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kImplicit,
-             rng);
+  check_case({3, 16, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f, rng);
+  check_case({16, 32, 16, 16, ConvGeometry{3, 2, 1}}, 0.0f, rng);
+  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, rng);
   // Wide-plane stem shape: ohw crosses several kNc panels.
-  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kImplicit,
-             rng);
+  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, rng);
 }
 
-TEST(ConvKernels, TapPathMatchesReferenceOnMaskedWeights) {
+TEST(ConvKernels, MatchDirectLoopOnMaskedWeights) {
+  // >= 85% zeroed weights, the regime where the tap path is the production
+  // choice: exact zeros are skipped wholesale, nonzeros must still agree.
   Rng rng(0x7A9);
-  // >= 85% zeroed weights: kAuto must route onto the tap path (verified
-  // separately below via exact-zero skipping semantics) and still agree
-  // with the reference bit-for-tolerance.
   for (const std::int64_t stride : {1, 2}) {
     const Case c{6, 10, 15, 13, ConvGeometry{3, stride, 1}};
-    check_case(c, 0.9f, ConvAlgo::kAuto, rng);
+    check_case(c, 0.9f, rng);
   }
-  check_case({4, 12, 9, 9, ConvGeometry{7, 1, 3}}, 0.85f, ConvAlgo::kAuto,
-             rng);
+  check_case({4, 12, 9, 9, ConvGeometry{7, 1, 3}}, 0.85f, rng);
 }
 
 TEST(ConvKernels, AutoDispatchHonorsPrecomputedZeroFraction) {
   // Passing the batch-level zero fraction must not change results, only the
-  // chosen path; both extremes must agree with the reference.
+  // chosen path: the counted fraction (-1), the forced packed path (0) and
+  // the forced tap path (1) must all agree with the oracle.
   Rng rng(0x11E);
   const Case c{4, 8, 11, 11, ConvGeometry{3, 1, 1}};
   const std::int64_t ckk = c.c_in * 9;
   const std::vector<float> x = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
   const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.5f);
-  const std::int64_t out_count = c.out_ch * c.g.out_extent(c.h) *
-                                 c.g.out_extent(c.w);
-  std::vector<float> y_ref(static_cast<std::size_t>(out_count));
-  conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                       y_ref.data(), nullptr, false,
-                       {ConvAlgo::kIm2colReference, -1.0f});
-  for (const float hint : {0.0f, 1.0f}) {  // force packed resp. tap path
-    std::vector<float> y(static_cast<std::size_t>(out_count));
+  const std::vector<float> no_bias(static_cast<std::size_t>(c.out_ch), 0.0f);
+  const std::vector<float> y_ref = ref_forward(c, x, w, no_bias, false);
+  for (const float hint : {-1.0f, 0.0f, 1.0f}) {
+    std::vector<float> y(y_ref.size());
     conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y.data(), nullptr, false, {ConvAlgo::kAuto, hint});
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const float scale = std::max(1.0f, std::fabs(y_ref[i]));
-      ASSERT_NEAR(y[i], y_ref[i], 1e-4f * scale) << "hint=" << hint;
-    }
+                         y.data(), nullptr, false,
+                         {.weight_zero_fraction = hint});
+    expect_near(y, y_ref, "forward", c, hint);
   }
 }
 

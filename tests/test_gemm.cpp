@@ -1,7 +1,10 @@
 // Randomized conformance tests for the blocked/parallel GEMM kernels in
 // linalg/gemm.hpp: every transpose variant, accumulate on/off, dense and
 // heavily masked operands, shapes small enough to stay serial and large
-// enough to cross the blocking and parallel thresholds.
+// enough to cross the blocking and parallel thresholds. The operands alone
+// pick the kernel, so the zero-skipping cores are reached by masking past
+// the ~80% crossover: A element zeros for the axpy cores (nn/tn), all-zero
+// B rows for the dot core (nt/tt).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,29 +84,42 @@ std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
   return out;
 }
 
+/// Zeroes op(B)'s column j — stored row j of nt/tt's (n, k) B — for every j
+/// except j % 5 == 4: n - n/5 >= 80% of the rows, a channel-pruned weight
+/// past the dot core's crossover.
+void prune_b_rows(std::vector<float>& b, Variant v, std::int64_t n,
+                  std::int64_t k) {
+  const bool trans = v == Variant::kNT || v == Variant::kTT;
+  for (std::int64_t j = 0; j < n; ++j) {
+    if (j % 5 == 4) continue;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      b[static_cast<std::size_t>(trans ? j * k + kk : kk * n + j)] = 0.0f;
+    }
+  }
+}
+
+/// Every variant, accumulate on and off, on a random B and on a row-pruned
+/// B, against the naive product.
 void check_case(std::int64_t m, std::int64_t n, std::int64_t k,
                 float zero_fraction, bool parallel, Rng& rng) {
   for (const Variant v : {Variant::kNN, Variant::kNT, Variant::kTN,
                           Variant::kTT}) {
     const std::vector<float> a = random_matrix(m, k, rng, zero_fraction);
-    const std::vector<float> b = random_matrix(k, n, rng, zero_fraction);
-    for (const bool accumulate : {false, true}) {
-      // Both dispatch families must conform: the packed register-tiled path
-      // (default) and the legacy streaming cores (packed=false, the
-      // reference baseline the conv kernels benchmark against).
-      for (const bool packed : {true, false}) {
+    for (const bool pruned : {false, true}) {
+      std::vector<float> b = random_matrix(k, n, rng, zero_fraction);
+      if (pruned) prune_b_rows(b, v, n, k);
+      for (const bool accumulate : {false, true}) {
         std::vector<float> c = random_matrix(m, n, rng, 0.0f);
         const std::vector<float> want =
             naive(a, b, v, m, n, k, c, accumulate);
         run_variant(a, b, v, m, n, k, c.data(),
-                    {.accumulate = accumulate, .parallel = parallel,
-                     .packed = packed});
+                    {.accumulate = accumulate, .parallel = parallel});
         for (std::int64_t i = 0; i < m * n; ++i) {
           const float w = want[static_cast<std::size_t>(i)];
           ASSERT_NEAR(c[static_cast<std::size_t>(i)], w,
                       1e-4f * std::max(1.0f, std::fabs(w)))
               << "variant=" << name(v) << " m=" << m << " n=" << n
-              << " k=" << k << " acc=" << accumulate << " packed=" << packed
+              << " k=" << k << " acc=" << accumulate << " pruned=" << pruned
               << " zeros=" << zero_fraction << " index=" << i;
         }
       }
@@ -144,22 +160,28 @@ TEST(Gemm, BlockedAndParallelPaths) {
   check_case(300, 1, 300, 0.5f, /*parallel=*/true, rng);
 }
 
+TEST(Gemm, BlockedSkipCores) {
+  // k*n = 312000 > 2^18 floats: B no longer fits the cache-resident bound,
+  // so 90%-masked A takes the blocked axpy core (nn/tn) across several kKc
+  // and kNc panels, and the row-pruned B takes the dot core (nt/tt) over
+  // the same panels. m*n*k is past the parallel threshold.
+  Rng rng(0xB10C);
+  check_case(24, 600, 520, 0.9f, /*parallel=*/true, rng);
+}
+
 TEST(Gemm, FullyMaskedBRowsAreSkippedButCorrect) {
-  // Channel-pruned weights: whole rows of B zeroed in the nt dot core.
+  // Channel-pruned weights: 14 of 17 rows of B zeroed (past the 80%
+  // crossover), so the nt dot core skips them wholesale.
   Rng rng(0xDEAD);
   const std::int64_t m = 9, n = 17, k = 33;
   std::vector<float> a = random_matrix(m, k, rng, 0.0f);
   std::vector<float> b = random_matrix(n, k, rng, 0.0f);
-  for (std::int64_t j = 0; j < n; j += 2) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      b[static_cast<std::size_t>(j * k + kk)] = 0.0f;
-    }
-  }
+  prune_b_rows(b, Variant::kNT, n, k);
   std::vector<float> c(static_cast<std::size_t>(m * n), -7.0f);
   gemm_nt(m, n, k, a.data(), b.data(), c.data(), {.accumulate = false});
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; j += 2) {
-      EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], 0.0f);
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (j % 5 != 4) EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], 0.0f);
     }
   }
   // Disabling the scan (activation-operand mode) routes onto the packed
@@ -173,7 +195,7 @@ TEST(Gemm, FullyMaskedBRowsAreSkippedButCorrect) {
     for (std::int64_t j = 0; j < n; ++j) {
       const float got = c2[static_cast<std::size_t>(i * n + j)];
       const float want = c[static_cast<std::size_t>(i * n + j)];
-      if (j % 2 == 0) {
+      if (j % 5 != 4) {
         EXPECT_EQ(got, 0.0f);
       } else {
         EXPECT_NEAR(got, want, 1e-4f * std::max(1.0f, std::fabs(want)));

@@ -75,52 +75,6 @@ TEST(Conv2d, FlopsCount) {
   EXPECT_EQ(conv.flops_per_sample(16, 16), 2LL * 8 * 3 * 9 * 16 * 16);
 }
 
-TEST(Im2col, SimpleExtraction) {
-  // 1x1x2x2 input, k=1 s=1 p=0: col is the flattened image.
-  const Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
-  ConvGeometry g{1, 1, 0};
-  float col[4];
-  im2col(x, 0, g, col);
-  EXPECT_FLOAT_EQ(col[0], 1.0f);
-  EXPECT_FLOAT_EQ(col[3], 4.0f);
-}
-
-TEST(Im2col, ZeroPadding) {
-  const Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
-  ConvGeometry g{3, 1, 1};
-  float col[9 * 4];
-  im2col(x, 0, g, col);
-  // First row of the col matrix corresponds to kernel tap (0,0): for output
-  // (0,0) it reads input (-1,-1) -> 0.
-  EXPECT_FLOAT_EQ(col[0], 0.0f);
-  // Centre tap (1,1) row (index 4) at output (0,0) reads input (0,0) = 1.
-  EXPECT_FLOAT_EQ(col[4 * 4 + 0], 1.0f);
-}
-
-TEST(Col2im, IsAdjointOfIm2col) {
-  // <im2col(x), c> == <x, col2im(c)> for random x, c (adjoint property).
-  Rng rng(3);
-  const Tensor x = Tensor::randn({1, 2, 5, 5}, rng);
-  ConvGeometry g{3, 2, 1};
-  const std::int64_t oh = g.out_extent(5), ow = g.out_extent(5);
-  const std::int64_t cols = 2 * 9 * oh * ow;
-  std::vector<float> colx(static_cast<std::size_t>(cols));
-  im2col(x, 0, g, colx.data());
-  std::vector<float> c(static_cast<std::size_t>(cols));
-  for (auto& v : c) v = rng.normal();
-  Tensor back({1, 2, 5, 5});
-  col2im_add(c.data(), 0, g, back);
-  double lhs = 0.0, rhs = 0.0;
-  for (std::int64_t i = 0; i < cols; ++i) {
-    lhs += static_cast<double>(colx[static_cast<std::size_t>(i)]) *
-           c[static_cast<std::size_t>(i)];
-  }
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    rhs += static_cast<double>(x[i]) * back[i];
-  }
-  EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
 TEST(Linear, KnownAffineMap) {
   Rng rng(1);
   Linear lin(2, 2, true, rng, "l");

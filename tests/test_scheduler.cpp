@@ -294,7 +294,7 @@ TEST(Scheduler, TileParallelConvMatchesSerialBitwise) {
   const Tensor g = Tensor::randn({kCh, kH, kW}, rng);
 
   ConvKernelOpts serial;
-  serial.algo = ConvAlgo::kImplicit;
+  serial.weight_zero_fraction = 0.0f;  // force the packed path
   ConvKernelOpts tiled = serial;
   tiled.parallel_tiles = true;
   PackedWeights packed;
