@@ -28,6 +28,10 @@
 #                                  # -fno-sanitize-recover=all, so any UB
 #                                  # report fails the gate.
 #
+# Every requested pass runs even when an earlier one fails (a red tier-1
+# does not hide the lint, audit, sanitizer or bench results); the script then
+# exits non-zero and names each failed pass.
+#
 # Thread counts are pinned via RT_THREADS for reproducibility; override by
 # exporting RT_THREADS before invoking.
 set -euo pipefail
@@ -53,9 +57,29 @@ done
 JOBS="$(nproc 2>/dev/null || echo 2)"
 export RT_THREADS="${RT_THREADS:-$JOBS}"
 
-cmake -B build -S . -DRT_WERROR=ON
-cmake --build build -j"${JOBS}"
-ctest --test-dir build --output-on-failure -j"${JOBS}"
+FAILED_PASSES=()
+
+# run_pass <name> <command...>: runs one pass and records its failure instead
+# of exiting. bash switches errexit off inside a command run under `||`, so
+# each pass chains its own steps with && (a failed build never runs stale
+# test binaries).
+run_pass() {
+  local name="$1"
+  shift
+  local status=0
+  "$@" || status=$?
+  if (( status != 0 )); then
+    echo "check.sh: ${name} pass failed (exit ${status})" >&2
+    FAILED_PASSES+=("${name}")
+  fi
+}
+
+tier1_pass() {
+  cmake -B build -S . -DRT_WERROR=ON &&
+    cmake --build build -j"${JOBS}" &&
+    ctest --test-dir build --output-on-failure -j"${JOBS}"
+}
+run_pass tier-1 tier1_pass
 
 # The concurrency-heavy suites every sanitizer pass exercises, plus the
 # quantized kernel suite (int8 packing/requant arithmetic is where UB —
@@ -71,21 +95,25 @@ run_sanitizer_pass() {
   local name="$1" dir="$2" value="$3"
   echo "== ${name} pass (${SAN_SUITES[*]}) =="
   cmake -B "${dir}" -S . -DRT_SANITIZE="${value}" -DRT_BUILD_BENCHES=OFF \
-        -DRT_BUILD_EXAMPLES=OFF -DRT_MARCH_NATIVE=OFF
-  cmake --build "${dir}" -j"${JOBS}" --target "${SAN_SUITES[@]}"
-  ctest --test-dir "${dir}" --output-on-failure -j1 -R "${SAN_FILTER}"
+        -DRT_BUILD_EXAMPLES=OFF -DRT_MARCH_NATIVE=OFF &&
+    cmake --build "${dir}" -j"${JOBS}" --target "${SAN_SUITES[@]}" &&
+    ctest --test-dir "${dir}" --output-on-failure -j1 -R "${SAN_FILTER}"
+}
+
+audit_pass() {
+  echo "== RT_AUDIT pass (alloc counting + lock-order assertions) =="
+  cmake -B build-audit -S . -DRT_AUDIT=ON -DRT_BUILD_BENCHES=OFF \
+        -DRT_BUILD_EXAMPLES=OFF &&
+    cmake --build build-audit -j"${JOBS}" \
+          --target test_audit test_scheduler test_serving &&
+    ctest --test-dir build-audit --output-on-failure -j1 \
+          -R 'test_audit|test_scheduler|test_serving'
 }
 
 if [[ "${LINT}" == 1 ]]; then
   echo "== rtlint pass (tools/rtlint over src/ and tools/) =="
-  ./build/rtlint --root . src tools
-  echo "== RT_AUDIT pass (alloc counting + lock-order assertions) =="
-  cmake -B build-audit -S . -DRT_AUDIT=ON -DRT_BUILD_BENCHES=OFF \
-        -DRT_BUILD_EXAMPLES=OFF
-  cmake --build build-audit -j"${JOBS}" \
-        --target test_audit test_scheduler test_serving
-  ctest --test-dir build-audit --output-on-failure -j1 \
-        -R 'test_audit|test_scheduler|test_serving'
+  run_pass rtlint ./build/rtlint --root . src tools
+  run_pass RT_AUDIT audit_pass
 fi
 
 if [[ "${TSAN}" == 1 ]]; then
@@ -95,15 +123,17 @@ if [[ "${TSAN}" == 1 ]]; then
   # time-slice across every synchronization point, which is exactly the
   # traffic TSan instruments.
   RT_THREADS="$(( RT_THREADS > 2 ? RT_THREADS : 2 ))" \
-    run_sanitizer_pass ThreadSanitizer build-tsan thread
+    run_pass ThreadSanitizer run_sanitizer_pass ThreadSanitizer build-tsan thread
 fi
 
 if [[ "${ASAN}" == 1 ]]; then
-  run_sanitizer_pass AddressSanitizer build-asan address
+  run_pass AddressSanitizer \
+    run_sanitizer_pass AddressSanitizer build-asan address
 fi
 
 if [[ "${UBSAN}" == 1 ]]; then
-  run_sanitizer_pass UndefinedBehaviorSanitizer build-ubsan undefined
+  run_pass UndefinedBehaviorSanitizer \
+    run_sanitizer_pass UndefinedBehaviorSanitizer build-ubsan undefined
 fi
 
 # run_bench_smoke <binary> <filter> <json_out> <description>
@@ -120,30 +150,26 @@ run_bench_smoke() {
   if [[ "${BENCH_JSON}" == 1 ]]; then
     extra_args+=(--benchmark_out="${json_out}" --benchmark_out_format=json)
   fi
-  # Explicit exit propagation, independent of errexit. `set -e` does cover
-  # this call today (verified: a failing fake bench binary exits the gate),
-  # but bash suppresses errexit throughout a function body the moment any
-  # caller up the chain runs it in a condition context (`if check.sh`,
-  # `check.sh || notify`) — this guard keeps a failed or crashed bench
-  # binary fatal under every invocation style.
-  local status=0
+  # run_pass calls this under `||`, where errexit is off: return a failed or
+  # crashed bench binary's status explicitly so run_pass records it.
   "./build/${binary}" \
     --benchmark_filter="${filter}" \
     --benchmark_min_time=0.05 \
-    "${extra_args[@]}" || status=$?
-  if (( status != 0 )); then
-    echo "${binary} failed (exit ${status}); failing the gate" >&2
-    exit "${status}"
-  fi
+    "${extra_args[@]}" || return
   if [[ "${BENCH_JSON}" == 1 ]]; then
     echo "wrote ${json_out}"
   fi
 }
 
-run_bench_smoke bench_kernels 'BM_Matmul|BM_Gemm|BM_ConvTrain|BM_EngineThroughput' \
+run_pass bench_kernels-smoke run_bench_smoke bench_kernels \
+  'BM_Matmul|BM_Gemm|BM_ConvTrain|BM_EngineThroughput' \
   BENCH_kernels.json "GEMM + conv + engine throughput"
-run_bench_smoke bench_serving 'BM_Server|BM_Registry|BM_Cache|BM_Net' \
-  BENCH_serving.json \
+run_pass bench_serving-smoke run_bench_smoke bench_serving \
+  'BM_Server|BM_Registry|BM_Cache|BM_Net' BENCH_serving.json \
   "async micro-batching front-end + registry hot swap + prediction cache + socket front-end"
 
+if (( ${#FAILED_PASSES[@]} > 0 )); then
+  echo "check.sh: FAILED passes: ${FAILED_PASSES[*]}" >&2
+  exit 1
+fi
 echo "check.sh: all gates passed"

@@ -178,8 +178,8 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
             // source-index table: their image rows are too short to amortize
             // even the padded-plane gather's per-row memcpy. Strided planes
             // take it too — their gather has no contiguous runs to memcpy.
-            // Everything else uses the padded-plane staging inside the
-            // kernel (see kPadPlaneCapS8 in linalg/conv.cpp).
+            // Everything else uses the kernel's padded-plane staging or,
+            // past its cap, the clipped run-gather (conv2d_forward_s8).
             p.qgather = build_s8_gather_index(p.in_ch, p.in_h, p.in_w, p.geom);
             plan.prepacked_bytes +=
                 static_cast<std::int64_t>(p.qgather.size()) * 4;

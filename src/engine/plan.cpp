@@ -308,9 +308,10 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
     if (out_amax != nullptr) *out_amax = amax;
     return;
   }
-  // Dense / channel-compact: quantized implicit-GEMM per sample over the
-  // offset-u8 batch, fused requant epilogue straight into the activation
-  // buffer (dense) or the epilogue scratch for the kept-row scatter.
+  // Dense / channel-compact: quantized implicit GEMM over the offset-u8
+  // batch, fused requant epilogue straight into the activation buffer
+  // (dense, whole batch) or the epilogue scratch for the kept-row scatter
+  // (channel-compact, one sample at a time).
   quantize_u8(in, n * in_f, sx, ws.qin());
   const std::int64_t kr = format == PackedFormat::kChannelCompact
                               ? static_cast<std::int64_t>(kept.size())
@@ -326,9 +327,9 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
     ep.bias = bias.data();
     ep.relu = relu;
     ep.amax = out_amax;
-    conv2d_forward_batch_s8(ws.qin(), n, in_f, in_ch, in_h, in_w, geom,
-                            qpacked.panels(), out_ch, ws.acc(), out, out_f,
-                            ep, qgather.empty() ? nullptr : qgather.data());
+    conv2d_forward_s8(ws.qin(), n, in_f, in_ch, in_h, in_w, geom,
+                      qpacked.panels(), out_ch, ws.acc(), out, out_f, ep,
+                      qgather.empty() ? nullptr : qgather.data());
     return;
   }
   for (std::int64_t i = 0; i < n; ++i) {
@@ -338,9 +339,9 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
       ep.bias = nullptr;
       ep.relu = false;
       ep.amax = nullptr;
-      conv2d_forward_plane_s8(qxi, in_ch, in_h, in_w, geom, qpacked.panels(),
-                              kr, ws.acc(), ws.tmp(), ep,
-                              qgather.empty() ? nullptr : qgather.data());
+      conv2d_forward_s8(qxi, 1, in_f, in_ch, in_h, in_w, geom,
+                        qpacked.panels(), kr, ws.acc(), ws.tmp(), 0, ep,
+                        qgather.empty() ? nullptr : qgather.data());
     }
     // Kept-row scatter, same as the float path but tracking the batch amax.
     std::int64_t ki = 0;

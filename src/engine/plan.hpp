@@ -180,8 +180,8 @@ struct PackedConv {
   PackedS8 qpacked;
   std::vector<float> qexec_scales;
   /// Precomputed im2col source-index table (build_s8_gather_index) for
-  /// narrow-plane layers, where it beats the run-decomposed gather; empty
-  /// otherwise.
+  /// narrow or strided layers, where it beats conv2d_forward_s8's
+  /// padded-plane and clipped run-gathers; empty otherwise.
   std::vector<std::int32_t> qgather;
 
   std::int64_t in_floats() const { return in_ch * in_h * in_w; }

@@ -570,19 +570,48 @@ void gather_col_row_u8(const std::uint8_t* xplane, std::int64_t h,
 }
 
 /// Cap of the thread_local padded-plane staging buffer: a stride-1 conv
-/// first copies its input into a (c_in, h+2p, w+2p) plane whose border holds
-/// the zero encoding 128, after which EVERY row gather is one branch-free
-/// memcpy per image row — the lead/mid/tail clipping of gather_col_row_u8
-/// disappears from the per-(tap, row) inner loop and is paid once per plane
-/// instead (1x the input volume against k*k gathered copies of it). 128 KiB
-/// covers small-image serving layers up to e.g. 64ch x 34x34; larger planes
-/// fall back to the clipped gather.
-inline constexpr std::int64_t kPadPlaneCapS8 = 128 * 1024;
+/// first copies its input planes into (c_in, h+2p, w+2p) planes whose border
+/// holds the zero encoding 128, after which EVERY row gather is one
+/// branch-free memcpy per image row — the lead/mid/tail clipping of
+/// gather_col_row_u8 disappears from the per-(tap, row) inner loop and is
+/// paid once per plane instead (1x the input volume against k*k gathered
+/// copies of it). 256 KiB covers batch 16 of the small-image layers the
+/// engine serves; larger batches and planes fall back to the clipped gather.
+inline constexpr std::int64_t kPadPlaneCapS8 = 256 * 1024;
 
-/// Batch variant of the cap for conv2d_forward_batch_s8, which pads every
-/// sample's plane up front (n x the per-sample footprint). 256 KiB covers
-/// batch 16 of the small-image layers the engine serves.
-inline constexpr std::int64_t kPadPlaneBatchCapS8 = 256 * 1024;
+/// Stages padded copies of n sample planes (sample i at xq + i * x_stride)
+/// back to back in the staging buffer, c_in * (h+2p) * (w+2p) bytes each.
+/// Returns nullptr when the layer takes another gather — the index table,
+/// a strided or unpadded geometry — or when the batch overflows the cap.
+const std::uint8_t* stage_padded_u8(const std::uint8_t* xq, std::int64_t n,
+                                    std::int64_t x_stride, std::int64_t c_in,
+                                    std::int64_t h, std::int64_t w,
+                                    const ConvGeometry& g,
+                                    const std::int32_t* gather_idx) {
+  const std::int64_t pad = g.padding;
+  if (gather_idx != nullptr || g.stride != 1 || pad <= 0) return nullptr;
+  const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
+  const std::int64_t per_sample = c_in * ph * pw;
+  if (n * per_sample > kPadPlaneCapS8) return nullptr;
+  alignas(64) thread_local std::uint8_t padbuf[kPadPlaneCapS8];
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint8_t* src = xq + i * x_stride;
+    for (std::int64_t c = 0; c < c_in; ++c) {
+      std::uint8_t* dstp = padbuf + i * per_sample + c * ph * pw;
+      std::memset(dstp, 128, static_cast<std::size_t>(pad * pw));
+      for (std::int64_t ii = 0; ii < h; ++ii) {
+        std::uint8_t* row = dstp + (pad + ii) * pw;
+        std::memset(row, 128, static_cast<std::size_t>(pad));
+        std::memcpy(row + pad, src + (c * h + ii) * w,
+                    static_cast<std::size_t>(w));
+        std::memset(row + pad + w, 128, static_cast<std::size_t>(pad));
+      }
+      std::memset(dstp + (pad + h) * pw, 128,
+                  static_cast<std::size_t>(pad * pw));
+    }
+  }
+  return padbuf;
+}
 
 /// Interleaves 4 contiguous k-row buffers into the quad position `dst`
 /// (64 bytes: 16 lanes x 4 quad bytes): dst dword j = r0[j] | r1[j] << 8 |
@@ -616,23 +645,28 @@ inline void interleave_quad16(const std::uint8_t* r0, const std::uint8_t* r1,
 #endif
 }
 
-/// Packs rows [kc, kc+kb) x pixels [jc, jc+nb) of the offset-u8 virtual
+/// Packs rows [kc, kc+kb) x columns [jc, jc+nb) of the offset-u8 virtual
 /// im2col matrix into kNrS8-lane QUAD slivers at `bp` (sliver depth
-/// round_up4(kb)) — the int8 forward's B operand. Each k row is gathered
-/// once across the whole pixel tile into a linear staging row (memcpy runs),
-/// then quad-interleaved into every sliver with wide stores; edge lanes and
-/// the k tail pad with 128.
-void pack_col_panel_u8q(const std::uint8_t* xq, std::int64_t h, std::int64_t w,
-                        const ConvGeometry& g, const DecodeTable& dec,
-                        std::int64_t kc, std::int64_t kb, std::int64_t jc,
-                        std::int64_t nb, std::int64_t ow, std::uint8_t* bp,
-                        const std::int32_t* gather_idx, std::int64_t ohw,
-                        const std::uint8_t* padded, std::int64_t pw) {
+/// round_up4(kb)) — the int8 forward's B operand. The column space is the
+/// whole batch: global column j = sample * OH*OW + pixel, sample i's plane at
+/// xq + i * x_stride (or its padded copy at padded + i * pstride, see
+/// stage_padded_u8). Each k row decomposes into per-sample pixel runs,
+/// gathered once across the tile into a linear staging row (index table,
+/// padded-plane memcpy or clipped run-gather), then quad-interleaved into
+/// every sliver with wide stores; edge lanes and the k tail pad with 128.
+void pack_col_batch_u8q(const std::uint8_t* xq, std::int64_t x_stride,
+                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                        const DecodeTable& dec, std::int64_t kc,
+                        std::int64_t kb, std::int64_t jc, std::int64_t nb,
+                        std::int64_t ow, std::int64_t ohw, std::uint8_t* bp,
+                        const std::int32_t* gather_idx,
+                        const std::uint8_t* padded, std::int64_t pstride) {
   const std::int64_t kb4 = round_up4(kb);
   // 4 linear k-rows, padded to whole lane groups so the interleave reads
   // defined bytes past nb. 1 KiB, fixed — never allocates on the hot path.
   alignas(64) thread_local std::uint8_t rowbuf[4][kNcS8];
   const std::int64_t nb16 = (nb + kNrS8 - 1) / kNrS8 * kNrS8;
+  const std::int64_t ph = h + 2 * g.padding, pw = w + 2 * g.padding;
   for (std::int64_t q = 0; q < kb4 / 4; ++q) {
     for (std::int64_t t = 0; t < 4; ++t) {
       const std::int64_t p = 4 * q + t;
@@ -640,79 +674,7 @@ void pack_col_panel_u8q(const std::uint8_t* xq, std::int64_t h, std::int64_t w,
         std::memset(rowbuf[t], 128, static_cast<std::size_t>(nb16));
         continue;
       }
-      if (gather_idx != nullptr) {
-        // Table path: one guarded byte load per element, no per-row setup —
-        // the win on narrow planes whose image rows are a few bytes wide.
-        const std::int32_t* ri = gather_idx + (kc + p) * ohw + jc;
-        std::uint8_t* d = rowbuf[t];
-        for (std::int64_t j = 0; j < nb; ++j) {
-          const std::int32_t s = ri[j];
-          d[j] = s >= 0 ? xq[s] : std::uint8_t{128};
-        }
-      } else if (padded != nullptr) {
-        // Padded-plane path (stride 1): the border already holds 128, so
-        // each image row is one unconditional memcpy — padding cancels in
-        // the source coordinates ((oi - p + ki) + p rows, likewise columns).
-        const auto row = static_cast<std::size_t>(kc + p);
-        const std::uint8_t* plane =
-            padded + static_cast<std::int64_t>(dec.c[row]) *
-                         (h + 2 * g.padding) * pw;
-        std::int64_t oi = jc / ow;
-        std::int64_t oj = jc - oi * ow;
-        const std::uint8_t* src =
-            plane + (oi + dec.ki[row]) * pw + dec.kj[row];
-        std::uint8_t* d = rowbuf[t];
-        std::int64_t done = 0;
-        while (done < nb) {
-          const std::int64_t run = std::min(nb - done, ow - oj);
-          std::memcpy(d + done, src + oj, static_cast<std::size_t>(run));
-          done += run;
-          oj = 0;
-          src += pw;
-        }
-      } else {
-        const auto row = static_cast<std::size_t>(kc + p);
-        const std::uint8_t* xplane =
-            xq + static_cast<std::int64_t>(dec.c[row]) * h * w;
-        gather_col_row_u8(xplane, h, w, g.stride, g.padding, dec.ki[row],
-                          dec.kj[row], ow, jc, nb, rowbuf[t]);
-      }
-      if (nb < nb16) {
-        std::memset(rowbuf[t] + nb, 128, static_cast<std::size_t>(nb16 - nb));
-      }
-    }
-    for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-      interleave_quad16(rowbuf[0] + jr, rowbuf[1] + jr, rowbuf[2] + jr,
-                        rowbuf[3] + jr, bp + jr * kb4 + q * kNrS8 * 4);
-    }
-  }
-}
-
-/// Batch-column packer: as pack_col_panel_u8q, but the column space is the
-/// whole batch — global column j = sample * OH*OW + pixel, sample i's plane
-/// at xq + i * x_stride (or its padded copy at padded + i * pstride). Each
-/// k row decomposes into per-sample pixel runs, gathered with the same
-/// three strategies as the per-sample packer.
-void pack_col_batch_u8q(const std::uint8_t* xq, std::int64_t x_stride,
-                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
-                        const DecodeTable& dec, std::int64_t kb,
-                        std::int64_t jc, std::int64_t nb, std::int64_t ow,
-                        std::int64_t ohw, std::uint8_t* bp,
-                        const std::int32_t* gather_idx,
-                        const std::uint8_t* padded, std::int64_t pstride,
-                        std::int64_t pw) {
-  const std::int64_t kb4 = round_up4(kb);
-  alignas(64) thread_local std::uint8_t rowbuf[4][kNcS8];
-  const std::int64_t nb16 = (nb + kNrS8 - 1) / kNrS8 * kNrS8;
-  const std::int64_t ph = h + 2 * g.padding;
-  for (std::int64_t q = 0; q < kb4 / 4; ++q) {
-    for (std::int64_t t = 0; t < 4; ++t) {
-      const std::int64_t p = 4 * q + t;
-      if (p >= kb) {
-        std::memset(rowbuf[t], 128, static_cast<std::size_t>(nb16));
-        continue;
-      }
-      const auto row = static_cast<std::size_t>(p);
+      const auto row = static_cast<std::size_t>(kc + p);
       std::uint8_t* d = rowbuf[t];
       std::int64_t done = 0;
       std::int64_t i = jc / ohw;
@@ -720,13 +682,18 @@ void pack_col_batch_u8q(const std::uint8_t* xq, std::int64_t x_stride,
       while (done < nb) {
         const std::int64_t run = std::min(nb - done, ohw - pix);
         if (gather_idx != nullptr) {
-          const std::int32_t* ri = gather_idx + p * ohw + pix;
+          // Table path: one guarded byte load per element, no per-row setup
+          // — the win on narrow planes whose image rows are a few bytes wide.
+          const std::int32_t* ri = gather_idx + (kc + p) * ohw + pix;
           const std::uint8_t* base = xq + i * x_stride;
           for (std::int64_t j = 0; j < run; ++j) {
             const std::int32_t s = ri[j];
             d[done + j] = s >= 0 ? base[s] : std::uint8_t{128};
           }
         } else if (padded != nullptr) {
+          // Padded-plane path (stride 1): the border already holds 128, so
+          // each image row is one unconditional memcpy — padding cancels in
+          // the source coordinates ((oi - p + ki) + p rows, likewise columns).
           const std::uint8_t* plane =
               padded + i * pstride +
               static_cast<std::int64_t>(dec.c[row]) * ph * pw;
@@ -769,172 +736,75 @@ void pack_col_batch_u8q(const std::uint8_t* xq, std::int64_t x_stride,
 
 // ---- public entry points ----------------------------------------------------
 
-RT_HOT void conv2d_forward_plane_s8(const std::uint8_t* xq, std::int64_t c_in,
-                                    std::int64_t h, std::int64_t w,
-                                    const ConvGeometry& g,
-                                    const std::int8_t* w_panels,
-                                    std::int64_t out_ch, std::int32_t* acc,
-                                    float* y, const S8Epilogue& ep,
-                                    const std::int32_t* gather_idx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  if (out_ch <= 0 || ohw <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t ckk4 = round_up4(ckk);
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  std::int32_t tile[kMrS8 * kNrS8];
-
-  // Stage the padded input plane for stride-1 convs with real padding (see
-  // kPadPlaneCapS8); strided layers come in with the index table instead.
-  const std::uint8_t* padded = nullptr;
-  std::int64_t pw = 0;
-  if (gather_idx == nullptr && g.stride == 1 && g.padding > 0) {
-    const std::int64_t pad = g.padding;
-    const std::int64_t ph2 = h + 2 * pad, pw2 = w + 2 * pad;
-    if (c_in * ph2 * pw2 <= kPadPlaneCapS8) {
-      alignas(64) thread_local std::uint8_t padbuf[kPadPlaneCapS8];
-      for (std::int64_t c = 0; c < c_in; ++c) {
-        std::uint8_t* dstp = padbuf + c * ph2 * pw2;
-        std::memset(dstp, 128, static_cast<std::size_t>(pad * pw2));
-        for (std::int64_t ii = 0; ii < h; ++ii) {
-          std::uint8_t* row = dstp + (pad + ii) * pw2;
-          std::memset(row, 128, static_cast<std::size_t>(pad));
-          std::memcpy(row + pad, xq + (c * h + ii) * w,
-                      static_cast<std::size_t>(w));
-          std::memset(row + pad + w, 128, static_cast<std::size_t>(pad));
-        }
-        std::memset(dstp + (pad + h) * pw2, 128,
-                    static_cast<std::size_t>(pad * pw2));
-      }
-      padded = padbuf;
-      pw = pw2;
-    }
-  }
-
-  if (ckk4 <= kKcFullS8) {
-    // Full-depth fast path: the whole k extent fits one staged B tile, so
-    // each 8x16 output block accumulates entirely in registers and requants
-    // straight from the register tile — the int32 accumulator plane, its
-    // memset, and the add/re-read passes all disappear. Covers every layer
-    // of the small-image models the engine serves (ckk <= kKcFullS8);
-    // int32 sums are exact, so results are bitwise identical to the
-    // blocked path below.
-    alignas(64) thread_local std::uint8_t bqfull[kKcFullS8 * kNcS8];
-    for (std::int64_t jc = 0; jc < ohw; jc += kNcS8) {
-      const std::int64_t nb = std::min(kNcS8, ohw - jc);
-      pack_col_panel_u8q(xq, h, w, g, dec, 0, ckk, jc, nb, ow, bqfull,
-                         gather_idx, ohw, padded, pw);
-      for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
-        const std::int64_t mr = std::min(kMrS8, out_ch - ir);
-        const std::int8_t* ap = w_panels + ir * ckk4;
-        // Slice the per-row epilogue fields to this channel block; the
-        // running amax pointer is shared across all tiles of the plane.
-        S8Epilogue es = ep;
-        es.scales = ep.scales + ir;
-        if (ep.corr) es.corr = ep.corr + ir;
-        if (ep.bias) es.bias = ep.bias + ir;
-        for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-          const std::int64_t nr = std::min(kNrS8, nb - jr);
-          detail::micro_s8_block(ckk4 / 4, ap, bqfull + jr * ckk4, tile);
-          requant_rows(tile, kNrS8, mr, nr, es, y + ir * ohw + jc + jr, ohw);
-        }
-      }
-    }
-    return;
-  }
-
-  // Deep-k path: block over k through the caller's int32 accumulator plane.
-  // Fixed per-thread sliver staging, same 64 KiB footprint as the fp32
-  // path's bbuf — sized once, so the serving path stays allocation-free.
-  thread_local std::uint8_t bqbuf[kKcS8 * kNcS8];
-  std::memset(acc, 0, static_cast<std::size_t>(out_ch * ohw) *
-                          sizeof(std::int32_t));
-  for (std::int64_t jc = 0; jc < ohw; jc += kNcS8) {
-    const std::int64_t nb = std::min(kNcS8, ohw - jc);
-    for (std::int64_t kc = 0; kc < ckk; kc += kKcS8) {
-      const std::int64_t kb = std::min(kKcS8, ckk - kc);
-      const std::int64_t kb4 = round_up4(kb);
-      pack_col_panel_u8q(xq, h, w, g, dec, kc, kb, jc, nb, ow, bqbuf,
-                         gather_idx, ohw, padded, pw);
-      for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
-        const std::int64_t mr = std::min(kMrS8, out_ch - ir);
-        // Panel slice: quad-major full-depth panels, so the k block at kc
-        // (kKcS8 is a multiple of 4) starts kc * kMrS8 bytes into panel ir.
-        const std::int8_t* ap = w_panels + ir * ckk4 + kc * kMrS8;
-        for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-          const std::int64_t nr = std::min(kNrS8, nb - jr);
-          detail::micro_s8_block(kb4 / 4, ap, bqbuf + jr * kb4, tile);
-          acc_block_add(tile, acc + ir * ohw + jc + jr, ohw, mr, nr);
-        }
-      }
-    }
-    // Requantize this pixel tile while its accumulator columns are still
-    // cache-hot; epilogue rows are output channels (leading dimension ohw).
-    requant_rows(acc + jc, ohw, out_ch, nb, ep, y + jc, ohw);
-  }
-}
-
-RT_HOT void conv2d_forward_batch_s8(const std::uint8_t* xq, std::int64_t n,
-                                    std::int64_t x_stride, std::int64_t c_in,
-                                    std::int64_t h, std::int64_t w,
-                                    const ConvGeometry& g,
-                                    const std::int8_t* w_panels,
-                                    std::int64_t out_ch, std::int32_t* acc,
-                                    float* y, std::int64_t y_stride,
-                                    const S8Epilogue& ep,
-                                    const std::int32_t* gather_idx) {
+RT_HOT void conv2d_forward_s8(const std::uint8_t* xq, std::int64_t n,
+                              std::int64_t x_stride, std::int64_t c_in,
+                              std::int64_t h, std::int64_t w,
+                              const ConvGeometry& g,
+                              const std::int8_t* w_panels, std::int64_t out_ch,
+                              std::int32_t* acc, float* y,
+                              std::int64_t y_stride, const S8Epilogue& ep,
+                              const std::int32_t* gather_idx) {
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   const std::int64_t ohw = oh * ow;
   if (out_ch <= 0 || ohw <= 0 || n <= 0) return;
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
   const std::int64_t ckk4 = round_up4(ckk);
+  const DecodeTable& dec = decode_table(c_in, g.kernel);
+  // Fixed per-thread sliver staging, sized once for the full-depth tile (the
+  // deep-k path's kKcS8-deep blocks use its first 64 KiB), so the serving
+  // path stays allocation-free.
+  alignas(64) thread_local std::uint8_t bq[kKcFullS8 * kNcS8];
+  std::int32_t tile[kMrS8 * kNrS8];
+
   if (ckk4 > kKcFullS8) {
-    // Deep-k planes go through the blocked per-sample path (they are large
-    // enough that per-sample fixed costs no longer matter).
+    // Deep-k path: one sample at a time, blocking over k through the
+    // caller's int32 accumulator plane (out_ch * OH*OW). These planes are
+    // large enough that per-sample fixed costs no longer matter.
     for (std::int64_t i = 0; i < n; ++i) {
-      conv2d_forward_plane_s8(xq + i * x_stride, c_in, h, w, g, w_panels,
-                              out_ch, acc, y + i * y_stride, ep, gather_idx);
+      const std::uint8_t* xi = xq + i * x_stride;
+      float* yi = y + i * y_stride;
+      const std::uint8_t* padded =
+          stage_padded_u8(xi, 1, 0, c_in, h, w, g, gather_idx);
+      std::memset(acc, 0, static_cast<std::size_t>(out_ch * ohw) *
+                              sizeof(std::int32_t));
+      for (std::int64_t jc = 0; jc < ohw; jc += kNcS8) {
+        const std::int64_t nb = std::min(kNcS8, ohw - jc);
+        for (std::int64_t kc = 0; kc < ckk; kc += kKcS8) {
+          const std::int64_t kb = std::min(kKcS8, ckk - kc);
+          const std::int64_t kb4 = round_up4(kb);
+          pack_col_batch_u8q(xi, 0, h, w, g, dec, kc, kb, jc, nb, ow, ohw, bq,
+                             gather_idx, padded, 0);
+          for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
+            const std::int64_t mr = std::min(kMrS8, out_ch - ir);
+            // Panel slice: quad-major full-depth panels, so the k block at
+            // kc (kKcS8 is a multiple of 4) starts kc * kMrS8 bytes into
+            // panel ir.
+            const std::int8_t* ap = w_panels + ir * ckk4 + kc * kMrS8;
+            for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
+              const std::int64_t nr = std::min(kNrS8, nb - jr);
+              detail::micro_s8_block(kb4 / 4, ap, bq + jr * kb4, tile);
+              acc_block_add(tile, acc + ir * ohw + jc + jr, ohw, mr, nr);
+            }
+          }
+        }
+        // Requantize this pixel tile while its accumulator columns are
+        // still cache-hot; epilogue rows are output channels (leading
+        // dimension ohw).
+        requant_rows(acc + jc, ohw, out_ch, nb, ep, yi + jc, ohw);
+      }
     }
     return;
   }
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  std::int32_t tile[kMrS8 * kNrS8];
 
-  // Stage padded copies of every sample's plane up front (one borders-hold-
-  // 128 copy each, see kPadPlaneCapS8); the whole batch shares the buffer.
-  const std::uint8_t* padded = nullptr;
-  std::int64_t pw = 0, pstride = 0;
-  if (gather_idx == nullptr && g.stride == 1 && g.padding > 0) {
-    const std::int64_t pad = g.padding;
-    const std::int64_t ph2 = h + 2 * pad, pw2 = w + 2 * pad;
-    const std::int64_t per_sample = c_in * ph2 * pw2;
-    if (n * per_sample <= kPadPlaneBatchCapS8) {
-      alignas(64) thread_local std::uint8_t padbuf[kPadPlaneBatchCapS8];
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::uint8_t* src0 = xq + i * x_stride;
-        for (std::int64_t c = 0; c < c_in; ++c) {
-          std::uint8_t* dstp = padbuf + i * per_sample + c * ph2 * pw2;
-          std::memset(dstp, 128, static_cast<std::size_t>(pad * pw2));
-          for (std::int64_t ii = 0; ii < h; ++ii) {
-            std::uint8_t* row = dstp + (pad + ii) * pw2;
-            std::memset(row, 128, static_cast<std::size_t>(pad));
-            std::memcpy(row + pad, src0 + (c * h + ii) * w,
-                        static_cast<std::size_t>(w));
-            std::memset(row + pad + w, 128, static_cast<std::size_t>(pad));
-          }
-          std::memset(dstp + (pad + h) * pw2, 128,
-                      static_cast<std::size_t>(pad * pw2));
-        }
-      }
-      padded = padbuf;
-      pw = pw2;
-      pstride = per_sample;
-    }
-  }
-
-  alignas(64) thread_local std::uint8_t bqfull[kKcFullS8 * kNcS8];
+  // Full-depth path: the whole k extent fits one staged B tile, so each
+  // 8x16 output block accumulates entirely in registers and requants
+  // straight from the register tile — no int32 accumulator plane. Covers
+  // every layer of the small-image models the engine serves.
+  const std::uint8_t* padded =
+      stage_padded_u8(xq, n, x_stride, c_in, h, w, g, gather_idx);
+  const std::int64_t pstride =
+      c_in * (h + 2 * g.padding) * (w + 2 * g.padding);
   const std::int64_t nj = n * ohw;
   // When kNrS8 divides OH*OW every 16-column tile lies inside one sample
   // and requants straight into its activation rows; otherwise the tile is
@@ -942,18 +812,20 @@ RT_HOT void conv2d_forward_batch_s8(const std::uint8_t* xq, std::int64_t n,
   const bool col_aligned = (ohw % kNrS8) == 0;
   for (std::int64_t jc = 0; jc < nj; jc += kNcS8) {
     const std::int64_t nb = std::min(kNcS8, nj - jc);
-    pack_col_batch_u8q(xq, x_stride, h, w, g, dec, ckk, jc, nb, ow, ohw,
-                       bqfull, gather_idx, padded, pstride, pw);
+    pack_col_batch_u8q(xq, x_stride, h, w, g, dec, 0, ckk, jc, nb, ow, ohw,
+                       bq, gather_idx, padded, pstride);
     for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
       const std::int64_t mr = std::min(kMrS8, out_ch - ir);
       const std::int8_t* ap = w_panels + ir * ckk4;
+      // Slice the per-row epilogue fields to this channel block; the
+      // running amax pointer is shared across all tiles of the batch.
       S8Epilogue es = ep;
       es.scales = ep.scales + ir;
       if (ep.corr) es.corr = ep.corr + ir;
       if (ep.bias) es.bias = ep.bias + ir;
       for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
         const std::int64_t nr = std::min(kNrS8, nb - jr);
-        detail::micro_s8_block(ckk4 / 4, ap, bqfull + jr * ckk4, tile);
+        detail::micro_s8_block(ckk4 / 4, ap, bq + jr * ckk4, tile);
         if (col_aligned) {
           const std::int64_t col = jc + jr;
           const std::int64_t i = col / ohw;

@@ -1,6 +1,7 @@
 #pragma once
 // Convolution kernel layer: fused implicit-GEMM forward / input-gradient /
-// weight-gradient over one (C, H, W) plane, plus the int8 serving forward.
+// weight-gradient over one (C, H, W) plane, plus the int8 serving forward
+// over a batch of planes.
 // The weight operand picks the fp32 path (packed implicit GEMM or
 // zero-skipping taps); no caller-set switch overrides it. The direct-loop
 // oracle these kernels are verified against lives in
@@ -126,50 +127,41 @@ void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
                           const float* bias = nullptr, bool relu = false,
                           const ConvKernelOpts& opts = {});
 
-/// True int8 forward (serving only): y (out_ch, OH, OW) float =
-/// requant(W_q (out_ch, C*k*k) * col(X_q)) over one offset-u8 input plane
-/// `xq`. Reuses the virtual-im2col gather path — panels of col(X_q) are
-/// gathered straight into the int8 kernel's quad-sliver layout, with
-/// out-of-image taps reading as the zero encoding 128. `w_panels` are the
-/// weight's quad panels (PackedS8 / pack_a_quads_s8, packed at compile
-/// time); `acc` is caller scratch of at least out_ch * OH*OW int32 (used
-/// only when round_up4(C*k*k) exceeds kKcFullS8 — smaller extents
-/// accumulate in registers). `gather_idx`, when non-null, is a precomputed
-/// C*k*k x OH*OW source-index table (build_s8_gather_index) that replaces
-/// the run-decomposed gather — worth it for narrow planes where image rows
-/// are too short to amortize per-row setup. The epilogue's per-row fields
-/// index output channels. Serial per plane, bitwise deterministic (integer
-/// accumulation in a fixed order, identical with and without the table).
-void conv2d_forward_plane_s8(const std::uint8_t* xq, std::int64_t c_in,
-                             std::int64_t h, std::int64_t w,
-                             const ConvGeometry& g, const std::int8_t* w_panels,
-                             std::int64_t out_ch, std::int32_t* acc, float* y,
-                             const S8Epilogue& ep,
-                             const std::int32_t* gather_idx = nullptr);
+/// True int8 forward (serving only): y_i (out_ch, OH, OW) float =
+/// requant(W_q (out_ch, C*k*k) * col(X_q,i)) for n offset-u8 input planes,
+/// sample i's plane at xq + i * x_stride and its output at y + i * y_stride
+/// (a single plane is n = 1). The batch runs as one implicit GEMM whose
+/// column space is (sample, output pixel): panels of col(X_q) are gathered
+/// straight into the int8 kernel's quad-sliver layout, out-of-image taps
+/// reading as the zero encoding 128, so B-staging, micro-tile and epilogue
+/// fixed costs amortize over n * OH*OW columns — the win on tiny planes.
+/// `w_panels` are the weight's quad panels (PackedS8 / pack_a_quads_s8,
+/// packed at compile time). `acc` is caller scratch of at least
+/// out_ch * OH*OW int32, used only when round_up4(C*k*k) exceeds kKcFullS8:
+/// such deep-k layers run one sample at a time, blocking k through `acc`;
+/// smaller extents accumulate in registers. The gather takes one of three
+/// strategies: `gather_idx`, when non-null, is a precomputed C*k*k x OH*OW
+/// source-index table (build_s8_gather_index) — worth it for narrow or
+/// strided planes whose image rows are too short to amortize per-row setup;
+/// otherwise stride-1 padded layers stage padded copies of the planes (while
+/// they fit one fixed cap) and gather whole rows by memcpy, and everything
+/// else takes the clipped run-gather. The epilogue's per-row fields index
+/// output channels. Serial, bitwise deterministic: integer accumulation is
+/// exact, and each output is one float expression, so the result is the
+/// same for every gather strategy and every n.
+void conv2d_forward_s8(const std::uint8_t* xq, std::int64_t n,
+                       std::int64_t x_stride, std::int64_t c_in,
+                       std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                       const std::int8_t* w_panels, std::int64_t out_ch,
+                       std::int32_t* acc, float* y, std::int64_t y_stride,
+                       const S8Epilogue& ep,
+                       const std::int32_t* gather_idx = nullptr);
 
-/// Batched variant of conv2d_forward_plane_s8 for the serving engine: runs
-/// the whole batch as one implicit GEMM whose column space is
-/// (sample, output pixel) — sample i's plane starts at xq + i * x_stride and
-/// its output at y + i * y_stride. Tiny planes (OH*OW of 4-16) are where
-/// this pays: B-staging, micro-tile, and epilogue fixed costs amortize over
-/// n * OH*OW columns instead of one sample's, and the kNrS8-lane tile pad
-/// vanishes. Bitwise identical to the per-sample loop (integer accumulation
-/// in the same per-column order; one float expression per output). Falls
-/// back to per-sample calls when round_up4(C*k*k) exceeds kKcFullS8 (then
-/// `acc` is used, sized as for the plane call).
-void conv2d_forward_batch_s8(const std::uint8_t* xq, std::int64_t n,
-                             std::int64_t x_stride, std::int64_t c_in,
-                             std::int64_t h, std::int64_t w,
-                             const ConvGeometry& g, const std::int8_t* w_panels,
-                             std::int64_t out_ch, std::int32_t* acc, float* y,
-                             std::int64_t y_stride, const S8Epilogue& ep,
-                             const std::int32_t* gather_idx = nullptr);
-
-/// Precomputes the virtual-im2col source-index table for
-/// conv2d_forward_plane_s8: entry [p * OH*OW + j] is the flat input-plane
-/// offset feeding column row p at output pixel j, or -1 for out-of-image
-/// taps (the gather substitutes the zero encoding 128). Compile-time only —
-/// the engine builds one per narrow-plane int8 conv layer.
+/// Precomputes the virtual-im2col source-index table for conv2d_forward_s8:
+/// entry [p * OH*OW + j] is the offset within one input plane feeding
+/// column row p at output pixel j, or -1 for out-of-image taps (the gather
+/// substitutes the zero encoding 128). Compile-time only — the engine builds
+/// one per narrow or strided int8 conv layer.
 std::vector<std::int32_t> build_s8_gather_index(std::int64_t c_in,
                                                 std::int64_t h, std::int64_t w,
                                                 const ConvGeometry& g);

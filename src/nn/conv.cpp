@@ -104,16 +104,16 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                          /*dgrad=*/true);
     kopts.packed_weights = &packed_weights_;
   }
-  const std::int64_t threads = Scheduler::current().num_threads();
-  kopts.parallel_tiles = n < threads;
+  kopts.parallel_tiles = n < Scheduler::current().num_threads();
 
   // Weight-gradient accumulation: each slot owns a contiguous sample range
-  // and a private partial, then the partials are combined with an
-  // atomic-free pairwise tree — no mutex serializes the workers. The slot
-  // count is fixed by the scheduler width (not by which worker ran what),
-  // so the tree's summation order — and the resulting bits — are stable
-  // under arbitrary stealing.
-  const std::int64_t slots = std::min<std::int64_t>(threads, n);
+  // and a private partial, so no mutex serializes the workers. The slot
+  // count depends on the batch alone, never on the lane count, so every
+  // float sum — and the trained weights — come out bitwise the same at any
+  // RT_THREADS. kWgradSlots = 8 keeps 8 lanes busy while bounding the
+  // partials' memory at 8 copies of the weight.
+  constexpr std::int64_t kWgradSlots = 8;
+  const std::int64_t slots = std::min(kWgradSlots, n);
   std::vector<std::vector<float>> dw_part(static_cast<std::size_t>(slots));
   std::vector<std::vector<float>> db_part(
       has_bias_ ? static_cast<std::size_t>(slots) : 0u);
@@ -149,40 +149,23 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     }
   });
 
-  // Pairwise tree: round r folds partial s+2^r into partial s. Each pair is
-  // an independent buffer sum, so rounds parallelize without atomics.
-  for (std::int64_t stride = 1; stride < slots; stride *= 2) {
-    const std::int64_t pairs = (slots - stride + 2 * stride - 1) / (2 * stride);
-    parallel_for(pairs, [&](std::int64_t p0, std::int64_t p1) {
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const auto dst = static_cast<std::size_t>(p * 2 * stride);
-        const auto src = dst + static_cast<std::size_t>(stride);
-        if (src >= dw_part.size()) continue;
-        float* d = dw_part[dst].data();
-        const float* sbuf = dw_part[src].data();
-        for (std::size_t j = 0; j < dw_part[dst].size(); ++j) d[j] += sbuf[j];
-        if (has_bias_) {
-          float* db = db_part[dst].data();
-          const float* sb = db_part[src].data();
-          for (std::size_t j = 0; j < db_part[dst].size(); ++j) {
-            db[j] += sb[j];
-          }
-        }
+  // Fold the partials into the parameter gradients in slot order,
+  // element-parallel: each element's sum order is fixed by the slot index.
+  const auto fold = [slots](const std::vector<std::vector<float>>& parts,
+                            float* grad, std::int64_t j0, std::int64_t j1) {
+    for (std::int64_t j = j0; j < j1; ++j) {
+      const auto e = static_cast<std::size_t>(j);
+      float sum = parts[0][e];
+      for (std::int64_t s = 1; s < slots; ++s) {
+        sum += parts[static_cast<std::size_t>(s)][e];
       }
-    });
-  }
-
-  // Fold the root partial into the parameter gradients, element-parallel.
-  float* dw = weight_.grad.data();
-  const float* root = dw_part[0].data();
-  parallel_for(static_cast<std::int64_t>(dw_part[0].size()),
-               [&](std::int64_t j0, std::int64_t j1) {
-                 for (std::int64_t j = j0; j < j1; ++j) dw[j] += root[j];
-               });
-  if (has_bias_) {
-    float* db = bias_.grad.data();
-    for (std::size_t j = 0; j < db_part[0].size(); ++j) db[j] += db_part[0][j];
-  }
+      grad[j] += sum;
+    }
+  };
+  parallel_for(out_channels_ * ckk, [&](std::int64_t j0, std::int64_t j1) {
+    fold(dw_part, weight_.grad.data(), j0, j1);
+  });
+  if (has_bias_) fold(db_part, bias_.grad.data(), 0, out_channels_);
   return dx;
 }
 

@@ -6,9 +6,10 @@
 //    the float requant is one expression per output and is compared at float
 //    rounding tolerance — FMA contraction may associate it differently),
 //  - the three gather strategies (clipped runs, padded plane, index table)
-//    and the batched entry point must agree bitwise,
+//    must agree bitwise, and a batch must equal its n = 1 calls bitwise,
 //  - end-to-end: native int8 vs the simulated-PTQ reference within a
-//    documented tolerance, bitwise determinism across runs, and <= 1% top-1
+//    documented tolerance on element- and channel-pruned (channel-compact)
+//    tickets, bitwise determinism across runs, and <= 1% top-1
 //    delta against fp32 serving for the dense and 90%-sparse micro-r18
 //    tickets.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -248,8 +250,18 @@ TEST(QuantConv, PlaneMatchesReferenceAndGatherPathsAgreeBitwise) {
       {16, 8, 8, 16, 3, 1, 1},  {64, 2, 2, 64, 3, 1, 1},
       {8, 16, 16, 16, 1, 2, 0}, {5, 7, 9, 11, 3, 1, 1},
       {4, 5, 5, 6, 5, 2, 2},
+      // Deep k: round_up4(C*k*k) = 1080 > kKcFullS8, so k blocks through acc.
+      {120, 6, 6, 16, 3, 1, 1},
+      // 1x1 stride-1 pad-0: nothing to pad, so the clipped run-gather.
+      {16, 8, 8, 24, 1, 1, 0},
+      // Stride-1 padded plane of 64 x 66 x 66 bytes, past the 256 KiB
+      // staging cap: the clipped run-gather again.
+      {64, 64, 64, 8, 3, 1, 1},
   };
   for (const auto& c : cases) {
+    SCOPED_TRACE("ci=" + std::to_string(c.ci) + " h=" + std::to_string(c.h) +
+                 " k=" + std::to_string(c.k) + " s=" + std::to_string(c.s) +
+                 " p=" + std::to_string(c.p));
     ConvGeometry g;
     g.kernel = c.k;
     g.stride = c.s;
@@ -274,8 +286,8 @@ TEST(QuantConv, PlaneMatchesReferenceAndGatherPathsAgreeBitwise) {
 
     std::vector<std::int32_t> acc(static_cast<std::size_t>(c.co * ohw));
     std::vector<float> got(static_cast<std::size_t>(c.co * ohw));
-    conv2d_forward_plane_s8(xq.data(), c.ci, c.h, c.w, g, packed.panels(),
-                            c.co, acc.data(), got.data(), ep);
+    conv2d_forward_s8(xq.data(), 1, 0, c.ci, c.h, c.w, g, packed.panels(),
+                      c.co, acc.data(), got.data(), 0, ep);
 
     const std::vector<float> want = conv_s8_reference(
         xq, c.ci, c.h, c.w, g, qw, c.co, scales, sx, bias, true);
@@ -289,60 +301,74 @@ TEST(QuantConv, PlaneMatchesReferenceAndGatherPathsAgreeBitwise) {
     const std::vector<std::int32_t> table =
         build_s8_gather_index(c.ci, c.h, c.w, g);
     std::vector<float> got_table(static_cast<std::size_t>(c.co * ohw));
-    conv2d_forward_plane_s8(xq.data(), c.ci, c.h, c.w, g, packed.panels(),
-                            c.co, acc.data(), got_table.data(), ep,
-                            table.data());
+    conv2d_forward_s8(xq.data(), 1, 0, c.ci, c.h, c.w, g, packed.panels(),
+                      c.co, acc.data(), got_table.data(), 0, ep, table.data());
     ASSERT_EQ(got, got_table) << "table gather diverged";
   }
 }
 
-TEST(QuantConv, BatchEntryPointMatchesPerSamplePlaneBitwise) {
+TEST(QuantConv, BatchMatchesSingleSampleCallsBitwise) {
   Rng rng(19);
-  const std::int64_t n = 5, ci = 6, h = 7, w = 7, co = 11;
-  ConvGeometry g;  // 3x3 stride 1 pad 1; ohw = 49, not a multiple of 16
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = ci * 9;
-  const std::int64_t x_stride = ci * h * w + 3;  // sample stride with slack
-  const std::int64_t y_stride = co * ohw + 5;
-  std::vector<std::uint8_t> xq(static_cast<std::size_t>(n * x_stride), 128);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto plane = random_u8(ci * h * w, rng);
-    std::copy(plane.begin(), plane.end(),
-              xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride));
-  }
-  const auto qw = random_s8(co * ckk, rng, 0.3f);
-  PackedS8 packed;
-  packed.pack(qw.data(), co, ckk);
-  std::vector<float> scales(static_cast<std::size_t>(co), 0.01f);
-  std::vector<float> bias(static_cast<std::size_t>(co), 0.25f);
-  S8Epilogue ep;
-  ep.scales = scales.data();
-  ep.act_scale = 0.012f;
-  ep.corr = packed.corr();
-  ep.bias = bias.data();
-  ep.relu = true;
+  const struct { std::int64_t n, ci, h, w, co; } cases[] = {
+      // ohw = 49, not a multiple of 16: tiles straddle samples.
+      {5, 6, 7, 7, 11},
+      // Deep k (round_up4(120 * 9) > kKcFullS8): the per-sample k-blocked
+      // path, whose acc is reused across the batch.
+      {3, 120, 6, 6, 16},
+      // 32 padded planes of 32 x 18 x 18 bytes overflow the staging cap, so
+      // the batch takes the clipped run-gather while each n = 1 call stages.
+      {32, 32, 16, 16, 16},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " ci=" + std::to_string(c.ci));
+    ConvGeometry g;  // 3x3 stride 1 pad 1
+    const std::int64_t ohw = g.out_extent(c.h) * g.out_extent(c.w);
+    const std::int64_t ckk = c.ci * 9;
+    const std::int64_t x_stride = c.ci * c.h * c.w + 3;  // slack per sample
+    const std::int64_t y_stride = c.co * ohw + 5;
+    std::vector<std::uint8_t> xq(static_cast<std::size_t>(c.n * x_stride),
+                                 128);
+    for (std::int64_t i = 0; i < c.n; ++i) {
+      const auto plane = random_u8(c.ci * c.h * c.w, rng);
+      std::copy(plane.begin(), plane.end(),
+                xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride));
+    }
+    const auto qw = random_s8(c.co * ckk, rng, 0.3f);
+    PackedS8 packed;
+    packed.pack(qw.data(), c.co, ckk);
+    std::vector<float> scales(static_cast<std::size_t>(c.co), 0.01f);
+    std::vector<float> bias(static_cast<std::size_t>(c.co), 0.25f);
+    S8Epilogue ep;
+    ep.scales = scales.data();
+    ep.act_scale = 0.012f;
+    ep.corr = packed.corr();
+    ep.bias = bias.data();
+    ep.relu = true;
 
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(co * ohw));
-  std::vector<float> want(static_cast<std::size_t>(n * y_stride), -7.0f);
-  float amax_plane = 0.0f;
-  ep.amax = &amax_plane;
-  for (std::int64_t i = 0; i < n; ++i) {
-    conv2d_forward_plane_s8(xq.data() + i * x_stride, ci, h, w, g,
-                            packed.panels(), co, acc.data(),
-                            want.data() + i * y_stride, ep);
-  }
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(c.co * ohw));
+    std::vector<float> want(static_cast<std::size_t>(c.n * y_stride), -7.0f);
+    float amax_single = 0.0f;
+    ep.amax = &amax_single;
+    for (std::int64_t i = 0; i < c.n; ++i) {
+      conv2d_forward_s8(xq.data() + i * x_stride, 1, 0, c.ci, c.h, c.w, g,
+                        packed.panels(), c.co, acc.data(),
+                        want.data() + i * y_stride, 0, ep);
+    }
 
-  std::vector<float> got(static_cast<std::size_t>(n * y_stride), -7.0f);
-  float amax_batch = 0.0f;
-  ep.amax = &amax_batch;
-  conv2d_forward_batch_s8(xq.data(), n, x_stride, ci, h, w, g,
-                          packed.panels(), co, acc.data(), got.data(),
-                          y_stride, ep);
-  ASSERT_EQ(got, want) << "batched conv diverged from per-sample planes";
-  EXPECT_EQ(amax_batch, amax_plane);
+    std::vector<float> got(static_cast<std::size_t>(c.n * y_stride), -7.0f);
+    float amax_batch = 0.0f;
+    ep.amax = &amax_batch;
+    conv2d_forward_s8(xq.data(), c.n, x_stride, c.ci, c.h, c.w, g,
+                      packed.panels(), c.co, acc.data(), got.data(), y_stride,
+                      ep);
+    ASSERT_EQ(got, want) << "batch diverged from n = 1 calls";
+    EXPECT_EQ(amax_batch, amax_single);
+  }
 }
 
-std::unique_ptr<ResNet> trained_micro_r18(float sparsity, std::uint64_t seed) {
+std::unique_ptr<ResNet> trained_micro_r18(
+    float sparsity, std::uint64_t seed,
+    Granularity granularity = Granularity::kElement) {
   Rng rng(seed);
   auto model = make_micro_resnet18(10, rng);
   const Dataset train = generate_dataset(source_task_spec(), 96, seed + 1);
@@ -354,6 +380,7 @@ std::unique_ptr<ResNet> trained_micro_r18(float sparsity, std::uint64_t seed) {
   if (sparsity > 0.0f) {
     OmpConfig prune_cfg;
     prune_cfg.sparsity = sparsity;
+    prune_cfg.granularity = granularity;
     omp_prune(*model, prune_cfg);
   }
   model->set_training(false);
@@ -375,42 +402,57 @@ double top1(const Tensor& logits, const std::vector<int>& labels) {
 }
 
 TEST(QuantEndToEnd, NativeTracksSimulatedReferenceAndIsDeterministic) {
-  auto model = trained_micro_r18(0.5f, 61);
   const Dataset probe = generate_dataset(source_task_spec(), 32, 62);
+  // Element pruning leaves every layer dense or CSR; channel pruning makes
+  // the channel-compact int8 branch (kept-row scatter) run too.
+  for (const Granularity granularity :
+       {Granularity::kElement, Granularity::kChannel}) {
+    SCOPED_TRACE(granularity == Granularity::kChannel ? "channel" : "element");
+    auto model = trained_micro_r18(0.5f, 61, granularity);
 
-  CompileOptions simulated;
-  simulated.int8_weights = true;
-  simulated.int8_native = false;
-  const CompiledTicket sim_plan = Engine::compile(*model, simulated);
-  Workspace sim_ws(sim_plan, 32);
-  const Tensor sim = sim_plan.predict(probe.images, sim_ws);
+    CompileOptions simulated;
+    simulated.int8_weights = true;
+    simulated.int8_native = false;
+    const CompiledTicket sim_plan = Engine::compile(*model, simulated);
+    Workspace sim_ws(sim_plan, 32);
+    const Tensor sim = sim_plan.predict(probe.images, sim_ws);
 
-  CompileOptions native;
-  native.int8_weights = true;
-  native.int8_native = true;
-  const CompiledTicket nat_plan = Engine::compile(*model, native);
-  EXPECT_TRUE(nat_plan.int8_native());
-  Workspace nat_ws(nat_plan, 32);
-  const Tensor nat = nat_plan.predict(probe.images, nat_ws);
+    CompileOptions native;
+    native.int8_weights = true;
+    native.int8_native = true;
+    const CompiledTicket nat_plan = Engine::compile(*model, native);
+    EXPECT_TRUE(nat_plan.int8_native());
+    if (granularity == Granularity::kChannel) {
+      bool compact_int8 = false;
+      for (const LayerPlan& l : nat_plan.layers()) {
+        compact_int8 |=
+            l.format == PackedFormat::kChannelCompact && l.quantized;
+      }
+      EXPECT_TRUE(compact_int8) << "no quantized channel-compact layer";
+    }
+    Workspace nat_ws(nat_plan, 32);
+    const Tensor nat = nat_plan.predict(probe.images, nat_ws);
 
-  // Documented tolerance: the simulated reference fake-quantizes WEIGHTS
-  // only and runs float activations; native execution additionally
-  // quantizes activations to 8 bits per layer (dynamic per-batch scales).
-  // Each layer therefore adds up to ~1/254 of its batch activation range on
-  // top of the shared weight-quantization error, and the gap compounds
-  // through the 18-conv depth (measured ~0.34 on raw logits here). 0.5
-  // bounds it with margin while still catching any structural mistake
-  // (wrong corr, scale, or gather) — those produce gaps orders of magnitude
-  // larger. Prediction-level agreement is guarded by the top-1 test below.
-  EXPECT_LE(nat.linf_distance(sim), 0.5f);
+    // Documented tolerance: the simulated reference fake-quantizes WEIGHTS
+    // only and runs float activations; native execution additionally
+    // quantizes activations to 8 bits per layer (dynamic per-batch scales).
+    // Each layer therefore adds up to ~1/254 of its batch activation range
+    // on top of the shared weight-quantization error, and the gap compounds
+    // through the 18-conv depth (measured ~0.34 on raw logits here). 0.5
+    // bounds it with margin while still catching any structural mistake
+    // (wrong corr, scale, or gather) — those produce gaps orders of
+    // magnitude larger. Prediction-level agreement is guarded by the top-1
+    // test below.
+    EXPECT_LE(nat.linf_distance(sim), 0.5f);
 
-  // Bitwise determinism: same plan, same workspace shape, same bits.
-  Workspace rerun_ws(nat_plan, 32);
-  const Tensor rerun = nat_plan.predict(probe.images, rerun_ws);
-  ASSERT_EQ(nat.dim(0), rerun.dim(0));
-  const std::int64_t count = nat.dim(0) * nat.dim(1);
-  for (std::int64_t i = 0; i < count; ++i) {
-    ASSERT_EQ(nat.data()[i], rerun.data()[i]) << "nondeterministic at " << i;
+    // Bitwise determinism: same plan, same workspace shape, same bits.
+    Workspace rerun_ws(nat_plan, 32);
+    const Tensor rerun = nat_plan.predict(probe.images, rerun_ws);
+    ASSERT_EQ(nat.dim(0), rerun.dim(0));
+    const std::int64_t count = nat.dim(0) * nat.dim(1);
+    for (std::int64_t i = 0; i < count; ++i) {
+      ASSERT_EQ(nat.data()[i], rerun.data()[i]) << "nondeterministic at " << i;
+    }
   }
 }
 

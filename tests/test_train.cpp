@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/scheduler.hpp"
 #include "data/synth.hpp"
 #include "models/resnet.hpp"
 #include "nn/loss.hpp"
+#include "prune/baselines.hpp"
 #include "train/loop.hpp"
 
 namespace rt {
@@ -151,6 +154,53 @@ TEST(TrainLoop, DeterministicGivenSeeds) {
   const StateDict sb = b.state_dict();
   for (const auto& [name, tensor] : sa) {
     EXPECT_LT(tensor.linf_distance(sb.at(name)), 1e-9f) << name;
+  }
+}
+
+TEST(TrainLoop, WeightsBitwiseIdenticalAcrossLaneCounts) {
+  // The ticket pipeline's training path at 1, 2, 4 and 8 scheduler lanes:
+  // PGD adversarial steps on a micro-r18, then 90% per-layer magnitude
+  // pruning and a masked finetune, whose convs take the zero-skipping tap
+  // path. Every parameter and BN statistic must come out bitwise the same.
+  // 36 samples in batches of 16 give 16, 16, 4: full and short slot sets.
+  const Dataset train = generate_dataset(source_task_spec(), 36, 41);
+  StateDict reference;
+  for (const int lanes : {1, 2, 4, 8}) {
+    Scheduler sched(lanes);
+    SchedulerScope scope(sched);
+    Rng init(42);
+    auto model = make_micro_resnet18(10, init);
+    TrainLoopConfig pgd;
+    pgd.epochs = 1;
+    pgd.batch_size = 16;
+    pgd.adversarial = true;
+    pgd.attack.epsilon = 0.08f;
+    pgd.attack.steps = 2;
+    Rng pgd_rng(43);
+    train_classifier(*model, train, pgd, pgd_rng);
+
+    layerwise_magnitude_prune(*model, 0.9f, Granularity::kElement);
+    TrainLoopConfig finetune;
+    finetune.epochs = 1;
+    finetune.batch_size = 16;
+    Rng finetune_rng(44);
+    train_classifier(*model, train, finetune, finetune_rng);
+
+    const StateDict state = model->state_dict();
+    if (lanes == 1) {
+      reference = state;
+      continue;
+    }
+    ASSERT_EQ(state.size(), reference.size());
+    for (const auto& [name, want] : reference) {
+      const Tensor& got = state.at(name);
+      ASSERT_EQ(got.numel(), want.numel()) << name;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(want.numel()) *
+                                sizeof(float)),
+                0)
+          << name << " differs at " << lanes << " lanes";
+    }
   }
 }
 
