@@ -3,6 +3,7 @@
 // regressions in the substrate rather than reproducing a paper figure.
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -198,6 +199,71 @@ void BM_ConvTrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flops_per_iter);
 }
 BENCHMARK(BM_ConvTrain);
+
+// The serving-path fp32 conv forward at inference shape: the micro-r18's
+// eleven conv layer shapes at a 16x16 input, each weighted by how often it
+// occurs, batch 64, one sample per call on a single lane with pre-packed
+// weight panels — what the engine's dense plan runs per conv layer.
+// Reports GFLOP/s; items == FLOPs.
+void BM_ConvForward(benchmark::State& state) {
+  struct Shape {
+    std::int64_t c_in, c_out, h, kernel, stride, padding, count;
+  };
+  constexpr Shape kShapes[] = {
+      {3, 8, 16, 3, 1, 1, 1},   {8, 8, 16, 3, 1, 1, 4},
+      {8, 16, 16, 3, 2, 1, 1},  {8, 16, 16, 1, 2, 0, 1},
+      {16, 16, 8, 3, 1, 1, 3},  {16, 32, 8, 3, 2, 1, 1},
+      {16, 32, 8, 1, 2, 0, 1},  {32, 32, 4, 3, 1, 1, 3},
+      {32, 64, 4, 3, 2, 1, 1},  {32, 64, 4, 1, 2, 0, 1},
+      {64, 64, 2, 3, 1, 1, 3}};
+  constexpr std::int64_t kBatch = 64;
+  rt::Scheduler sched(1);
+  rt::SchedulerScope scope(sched);
+
+  rt::Rng rng(13);
+  std::vector<rt::Tensor> xs, ws, ys;
+  std::vector<rt::PackedWeights> packed(std::size(kShapes));
+  std::int64_t flops_per_iter = 0;
+  for (std::size_t l = 0; l < std::size(kShapes); ++l) {
+    const Shape& s = kShapes[l];
+    const rt::ConvGeometry geom{s.kernel, s.stride, s.padding};
+    const std::int64_t oh = geom.out_extent(s.h);
+    const std::int64_t ckk = s.c_in * s.kernel * s.kernel;
+    xs.push_back(rt::Tensor::randn({kBatch, s.c_in, s.h, s.h}, rng));
+    ws.push_back(rt::Tensor::randn({s.c_out, ckk}, rng, 0.1f));
+    ys.push_back(rt::Tensor({kBatch, s.c_out, oh, oh}));
+    packed[l].pack(ws[l].data(), s.c_out, ckk, /*forward=*/true,
+                   /*dgrad=*/false);
+    flops_per_iter += s.count * kBatch * 2 * s.c_out * ckk * oh * oh;
+  }
+
+  for (auto _ : state) {
+    for (std::size_t l = 0; l < std::size(kShapes); ++l) {
+      const Shape& s = kShapes[l];
+      const rt::ConvGeometry geom{s.kernel, s.stride, s.padding};
+      rt::ConvKernelOpts opts;
+      opts.weight_zero_fraction = 0.0f;  // dense weights: the packed path
+      opts.packed_weights = &packed[l];
+      const std::int64_t in_plane = s.c_in * s.h * s.h;
+      const std::int64_t out_plane = ys[l].numel() / kBatch;
+      for (std::int64_t rep = 0; rep < s.count; ++rep) {
+        for (std::int64_t i = 0; i < kBatch; ++i) {
+          rt::conv2d_forward_plane(xs[l].data() + i * in_plane, s.c_in, s.h,
+                                   s.h, geom, ws[l].data(), s.c_out,
+                                   ys[l].data() + i * out_plane, nullptr,
+                                   false, opts);
+        }
+      }
+      benchmark::DoNotOptimize(ys[l].data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * flops_per_iter);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      1e-9 * static_cast<double>(flops_per_iter),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ConvForward);
 
 // Nested-parallel conv training step: batch-outer tasks with the batch
 // deliberately smaller than the lane count, so the flat decomposition (Arg 1

@@ -162,7 +162,7 @@ run_bench_smoke() {
 }
 
 run_pass bench_kernels-smoke run_bench_smoke bench_kernels \
-  'BM_Matmul|BM_Gemm|BM_ConvTrain|BM_EngineThroughput' \
+  'BM_Matmul|BM_Gemm|BM_ConvTrain|BM_ConvForward|BM_EngineThroughput' \
   BENCH_kernels.json "GEMM + conv + engine throughput"
 run_pass bench_serving-smoke run_bench_smoke bench_serving \
   'BM_Server|BM_Registry|BM_Cache|BM_Net' BENCH_serving.json \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/audit.hpp"
@@ -50,6 +51,62 @@ const DecodeTable& decode_table(std::int64_t c_in, std::int64_t kernel) {
     t.kernel = kernel;
   }
   return t;
+}
+
+/// Byte cap of a padded-plane staging copy, shared by the fp32 and int8
+/// forwards. A padded conv first copies its input planes into
+/// (c_in, h+2p, w+2p) planes whose border holds the element type's zero
+/// encoding (0.0f, or 128 in offset-u8), after which every B gather is an
+/// unguarded copy: the border clipping leaves the per-(tap, pixel) inner
+/// loop and is paid once per plane instead (1x the input volume against
+/// k*k gathered copies of it). 256 KiB covers every plane of the
+/// small-image models the engine serves, and int8 batches of them;
+/// larger planes and batches fall back to the clipped gather.
+inline constexpr std::int64_t kPadPlaneCap = 256 * 1024;
+
+/// The calling thread's staging buffer, shared by both element types: float
+/// storage, which the int8 forward fills through byte (character) access.
+alignas(64) thread_local float pad_staging_tl[kPadPlaneCap / sizeof(float)];
+
+/// Stages padded copies of n planes (plane i at x + i * x_stride) back to
+/// back, c_in * (h+2p) * (w+2p) elements each, with `zero` in the border.
+/// They go into `frame` when non-null — a kernel that spawns tiles must
+/// stage into a buffer its own frame owns (see forward_packed) — else into
+/// pad_staging_tl. Returns the staged planes, or nullptr when the layer has
+/// no padding or the planes overflow kPadPlaneCap: such layers keep the
+/// clipped gather.
+template <typename T>
+const T* stage_padded(const T* x, std::int64_t n, std::int64_t x_stride,
+                      std::int64_t c_in, std::int64_t h, std::int64_t w,
+                      std::int64_t pad, T zero,
+                      std::type_identity_t<std::vector<T>>* frame) {
+  const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
+  const std::int64_t count = n * c_in * ph * pw;
+  const auto bytes = count * static_cast<std::int64_t>(sizeof(T));
+  if (pad <= 0 || bytes > kPadPlaneCap) return nullptr;
+  T* dst = reinterpret_cast<T*>(pad_staging_tl);
+  if (frame != nullptr) {
+    // Dynamic, training only: the parallel-tile forward stages per call,
+    // at most kPadPlaneCap bytes.
+    frame->resize(static_cast<std::size_t>(count));
+    dst = frame->data();
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t c = 0; c < c_in; ++c) {
+      const T* src = x + i * x_stride + c * h * w;
+      T* plane = dst + (i * c_in + c) * ph * pw;
+      std::fill_n(plane, pad * pw, zero);
+      for (std::int64_t ii = 0; ii < h; ++ii) {
+        T* row = plane + (pad + ii) * pw;
+        std::fill_n(row, pad, zero);
+        std::memcpy(row + pad, src + ii * w,
+                    static_cast<std::size_t>(w) * sizeof(T));
+        std::fill_n(row + pad + w, pad, zero);
+      }
+      std::fill_n(plane + (pad + h) * pw, pad * pw, zero);
+    }
+  }
+  return dst;
 }
 
 /// Gathers `count` consecutive virtual-im2col values of one column row
@@ -112,6 +169,54 @@ void pack_col_panel(const float* x, std::int64_t h, std::int64_t w,
       gather_col_row(xplane, h, w, g.stride, g.padding, dec.ki[row],
                      dec.kj[row], ow, pixel0, n_eff, dst);
       for (std::int64_t j = n_eff; j < kNr; ++j) dst[j] = 0.0f;
+    }
+  }
+}
+
+/// pack_col_panel over a padded staging copy of the input (planes ph x pw,
+/// see stage_padded): the border already holds zeros, so no tap needs a
+/// guard. Each sliver's kNr source offsets are decoded once, each k row's
+/// tap base once per panel; a k row is then one kNr-float copy when the
+/// sliver's pixels are contiguous (stride 1, one output row) and kNr
+/// unguarded loads otherwise.
+void pack_col_panel_padded(const float* xp, std::int64_t ph, std::int64_t pw,
+                           const ConvGeometry& g, const DecodeTable& dec,
+                           std::int64_t kc, std::int64_t kb, std::int64_t jc,
+                           std::int64_t nb, std::int64_t ow, float* bp) {
+  // Offset of column row kc+p's tap for output pixel (0, 0).
+  std::int64_t tap[kKc] = {};
+  for (std::int64_t p = 0; p < kb; ++p) {
+    const auto row = static_cast<std::size_t>(kc + p);
+    tap[p] = static_cast<std::int64_t>(dec.c[row]) * ph * pw +
+             static_cast<std::int64_t>(dec.ki[row]) * pw + dec.kj[row];
+  }
+  for (std::int64_t jr = 0; jr < nb; jr += kNr) {
+    const std::int64_t n_eff = std::min(kNr, nb - jr);
+    float* sliver = bp + jr * kb;
+    // Offsets strictly increase with the pixel index, so a span of kNr - 1
+    // over kNr full lanes means they are consecutive.
+    std::int64_t off[kNr] = {};
+    std::int64_t oi = (jc + jr) / ow;
+    std::int64_t oj = (jc + jr) - oi * ow;
+    for (std::int64_t j = 0; j < n_eff; ++j) {
+      off[j] = (oi * pw + oj) * g.stride;
+      if (++oj == ow) {
+        oj = 0;
+        ++oi;
+      }
+    }
+    if (n_eff == kNr && off[kNr - 1] - off[0] == kNr - 1) {
+      for (std::int64_t p = 0; p < kb; ++p) {
+        std::memcpy(sliver + p * kNr, xp + tap[p] + off[0],
+                    kNr * sizeof(float));
+      }
+    } else {
+      for (std::int64_t p = 0; p < kb; ++p) {
+        const float* src = xp + tap[p];
+        float* dst = sliver + p * kNr;
+        for (std::int64_t j = 0; j < n_eff; ++j) dst[j] = src[off[j]];
+        for (std::int64_t j = n_eff; j < kNr; ++j) dst[j] = 0.0f;
+      }
     }
   }
 }
@@ -276,6 +381,16 @@ RT_HOT void forward_packed(const float* x, std::int64_t c_in, std::int64_t h,
     wp = wpack.data();
   }
 
+  // Padded layers whose plane fits kPadPlaneCap gather from a zero-bordered
+  // copy staged once here; the rest (unpadded layers such as the 1x1
+  // downsample convs, oversized planes) take the clipped gather. The copy
+  // is frame-owned on the parallel path, for the wpack_frame reason above.
+  std::vector<float> xpad_frame;
+  const float* xpad =
+      stage_padded(x, 1, 0, c_in, h, w, g.padding, 0.0f,
+                   opts.parallel_tiles ? &xpad_frame : nullptr);
+  const std::int64_t ph = h + 2 * g.padding, pw = w + 2 * g.padding;
+
   // Output-column tiles are independent (each writes its own y columns and
   // accumulates its kc panels in the fixed serial order), so they can run
   // as stealable subtasks when the batch alone cannot fill the machine.
@@ -292,7 +407,12 @@ RT_HOT void forward_packed(const float* x, std::int64_t c_in, std::int64_t h,
       const std::int64_t nb = std::min(kNc, ohw - jc);
       for (std::int64_t kc = 0; kc < ckk; kc += kKc) {
         const std::int64_t kb = std::min(kKc, ckk - kc);
-        pack_col_panel(x, h, w, g, dec, kc, kb, jc, nb, ow, bbuf);
+        if (xpad != nullptr) {
+          pack_col_panel_padded(xpad, ph, pw, g, dec, kc, kb, jc, nb, ow,
+                                bbuf);
+        } else {
+          pack_col_panel(x, h, w, g, dec, kc, kb, jc, nb, ow, bbuf);
+        }
         for (std::int64_t ir = 0; ir < out_ch; ir += kMr) {
           const std::int64_t mr = std::min(kMr, out_ch - ir);
           const float* ap = wp + ir * ckk + kc * kMr;
@@ -569,50 +689,6 @@ void gather_col_row_u8(const std::uint8_t* xplane, std::int64_t h,
   }
 }
 
-/// Cap of the thread_local padded-plane staging buffer: a stride-1 conv
-/// first copies its input planes into (c_in, h+2p, w+2p) planes whose border
-/// holds the zero encoding 128, after which EVERY row gather is one
-/// branch-free memcpy per image row — the lead/mid/tail clipping of
-/// gather_col_row_u8 disappears from the per-(tap, row) inner loop and is
-/// paid once per plane instead (1x the input volume against k*k gathered
-/// copies of it). 256 KiB covers batch 16 of the small-image layers the
-/// engine serves; larger batches and planes fall back to the clipped gather.
-inline constexpr std::int64_t kPadPlaneCapS8 = 256 * 1024;
-
-/// Stages padded copies of n sample planes (sample i at xq + i * x_stride)
-/// back to back in the staging buffer, c_in * (h+2p) * (w+2p) bytes each.
-/// Returns nullptr when the layer takes another gather — the index table,
-/// a strided or unpadded geometry — or when the batch overflows the cap.
-const std::uint8_t* stage_padded_u8(const std::uint8_t* xq, std::int64_t n,
-                                    std::int64_t x_stride, std::int64_t c_in,
-                                    std::int64_t h, std::int64_t w,
-                                    const ConvGeometry& g,
-                                    const std::int32_t* gather_idx) {
-  const std::int64_t pad = g.padding;
-  if (gather_idx != nullptr || g.stride != 1 || pad <= 0) return nullptr;
-  const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
-  const std::int64_t per_sample = c_in * ph * pw;
-  if (n * per_sample > kPadPlaneCapS8) return nullptr;
-  alignas(64) thread_local std::uint8_t padbuf[kPadPlaneCapS8];
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::uint8_t* src = xq + i * x_stride;
-    for (std::int64_t c = 0; c < c_in; ++c) {
-      std::uint8_t* dstp = padbuf + i * per_sample + c * ph * pw;
-      std::memset(dstp, 128, static_cast<std::size_t>(pad * pw));
-      for (std::int64_t ii = 0; ii < h; ++ii) {
-        std::uint8_t* row = dstp + (pad + ii) * pw;
-        std::memset(row, 128, static_cast<std::size_t>(pad));
-        std::memcpy(row + pad, src + (c * h + ii) * w,
-                    static_cast<std::size_t>(w));
-        std::memset(row + pad + w, 128, static_cast<std::size_t>(pad));
-      }
-      std::memset(dstp + (pad + h) * pw, 128,
-                  static_cast<std::size_t>(pad * pw));
-    }
-  }
-  return padbuf;
-}
-
 /// Interleaves 4 contiguous k-row buffers into the quad position `dst`
 /// (64 bytes: 16 lanes x 4 quad bytes): dst dword j = r0[j] | r1[j] << 8 |
 /// r2[j] << 16 | r3[j] << 24. This is the transform between the linear
@@ -650,7 +726,7 @@ inline void interleave_quad16(const std::uint8_t* r0, const std::uint8_t* r1,
 /// round_up4(kb)) — the int8 forward's B operand. The column space is the
 /// whole batch: global column j = sample * OH*OW + pixel, sample i's plane at
 /// xq + i * x_stride (or its padded copy at padded + i * pstride, see
-/// stage_padded_u8). Each k row decomposes into per-sample pixel runs,
+/// stage_padded). Each k row decomposes into per-sample pixel runs,
 /// gathered once across the tile into a linear staging row (index table,
 /// padded-plane memcpy or clipped run-gather), then quad-interleaved into
 /// every sliver with wide stores; edge lanes and the k tail pad with 128.
@@ -756,6 +832,9 @@ RT_HOT void conv2d_forward_s8(const std::uint8_t* xq, std::int64_t n,
   // path stays allocation-free.
   alignas(64) thread_local std::uint8_t bq[kKcFullS8 * kNcS8];
   std::int32_t tile[kMrS8 * kNrS8];
+  // Stride-1 layers without an index table gather from padded staging
+  // copies (stage_padded, zero encoding 128) while the planes fit its cap.
+  const bool stage = gather_idx == nullptr && g.stride == 1;
 
   if (ckk4 > kKcFullS8) {
     // Deep-k path: one sample at a time, blocking over k through the
@@ -765,7 +844,9 @@ RT_HOT void conv2d_forward_s8(const std::uint8_t* xq, std::int64_t n,
       const std::uint8_t* xi = xq + i * x_stride;
       float* yi = y + i * y_stride;
       const std::uint8_t* padded =
-          stage_padded_u8(xi, 1, 0, c_in, h, w, g, gather_idx);
+          stage ? stage_padded(xi, 1, 0, c_in, h, w, g.padding,
+                               std::uint8_t{128}, nullptr)
+                : nullptr;
       std::memset(acc, 0, static_cast<std::size_t>(out_ch * ohw) *
                               sizeof(std::int32_t));
       for (std::int64_t jc = 0; jc < ohw; jc += kNcS8) {
@@ -802,7 +883,9 @@ RT_HOT void conv2d_forward_s8(const std::uint8_t* xq, std::int64_t n,
   // straight from the register tile — no int32 accumulator plane. Covers
   // every layer of the small-image models the engine serves.
   const std::uint8_t* padded =
-      stage_padded_u8(xq, n, x_stride, c_in, h, w, g, gather_idx);
+      stage ? stage_padded(xq, n, x_stride, c_in, h, w, g.padding,
+                           std::uint8_t{128}, nullptr)
+            : nullptr;
   const std::int64_t pstride =
       c_in * (h + 2 * g.padding) * (w + 2 * g.padding);
   const std::int64_t nj = n * ohw;

@@ -21,6 +21,18 @@
 // (C*k*k * OH*OW floats, the dominant memory traffic of small-image
 // training) is gone from the hot path.
 //
+// The forward's border handling is paid once per call, not per gathered
+// element: a padded layer first copies its input into a zero-bordered
+// (C, H+2p, W+2p) staging plane, so each B-sliver row is one 8-float copy
+// when its pixels are contiguous (stride 1, within one output row) and 8
+// unguarded loads otherwise. The int8 forward stages the same way (border
+// byte 128) through the same helper, and both share one 256 KiB staging
+// cap. Unpadded layers (the 1x1 downsample convs) and planes past the cap
+// take the clipped gather instead, which guards each border run. Both
+// gathers pack the same values in the same k order, so the choice never
+// changes a bit. The dgrad scatter and the wgrad gather still guard every
+// border tap.
+//
 // Masked tickets keep their fast path: when the weight matrix is zeroed past
 // the sparsity crossover, forward and dgrad switch to a tap loop that slides
 // each nonzero weight's valid output window directly over the input — the
@@ -35,7 +47,10 @@
 // on the work-stealing scheduler instead — tiles write disjoint outputs and
 // keep each element's accumulation order unchanged, so results stay bitwise
 // identical to the serial path. The input-gradient kernel stays serial per
-// plane: its tiles scatter-add into overlapping dx positions.
+// plane: its tiles scatter-add into overlapping dx positions. A serial
+// forward stages into a fixed thread-local buffer (allocation-free); a
+// tile-parallel one stages into a buffer its own frame owns, because its
+// caller helps run other tasks while it waits and may re-enter the kernel.
 
 #include <cstdint>
 #include <vector>

@@ -2,12 +2,16 @@
 // forward, input-gradient and weight-gradient against a direct-loop oracle
 // (accumulating in double) across kernel x stride x padding x odd-extent
 // geometries, on both the packed implicit-GEMM path and the zero-skipping
-// tap path, plus a finite-difference gradcheck on a masked Conv2d layer.
+// tap path; the forward's staged padded-plane gather against its clipped
+// gather, bit for bit; plus a finite-difference gradcheck on a masked
+// Conv2d layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -183,6 +187,69 @@ TEST(ConvKernels, MatchDirectLoopAtMicroResNetShapes) {
   check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, rng);
   // Wide-plane stem shape: ohw crosses several kNc panels.
   check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, rng);
+}
+
+/// x (c_in, h, w) copied into the centre of a zero-filled
+/// (c_in, h+2p, w+2p) plane.
+std::vector<float> explicitly_zero_padded(const std::vector<float>& x,
+                                          std::int64_t c_in, std::int64_t h,
+                                          std::int64_t w, std::int64_t p) {
+  const std::int64_t ph = h + 2 * p, pw = w + 2 * p;
+  std::vector<float> out(at(c_in * ph * pw), 0.0f);
+  for (std::int64_t c = 0; c < c_in; ++c) {
+    for (std::int64_t i = 0; i < h; ++i) {
+      std::copy_n(x.begin() + (c * h + i) * w, w,
+                  out.begin() + (c * ph + p + i) * pw + p);
+    }
+  }
+  return out;
+}
+
+TEST(ConvKernels, PaddedForwardMatchesExplicitlyPaddedInputBitwise) {
+  // A padded forward gathers from its own zero-bordered staging copy; the
+  // same conv with pad 0 over an explicitly zero-padded input takes the
+  // clipped gather. Both pack the same B values in the same k order, so
+  // the outputs must agree bit for bit, with and without bias+ReLU.
+  Rng rng(0x9AD);
+  const ConvKernelOpts packed{.weight_zero_fraction = 0.0f};
+  for (const std::int64_t kernel : {1, 3, 5, 7}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t pad : {1, 2, 3}) {
+        // Odd extents; at stride 1 the second spans several kNc tiles.
+        for (const auto& [h, w] : {std::pair<std::int64_t, std::int64_t>{
+                                       13, 11},
+                                   {21, 19}}) {
+          const Case c{5, 9, h, w, ConvGeometry{kernel, stride, pad}};
+          const std::int64_t ckk = c.c_in * kernel * kernel;
+          const std::int64_t ohw = c.g.out_extent(h) * c.g.out_extent(w);
+          const std::vector<float> x = random_vec(c.c_in * h * w, rng, 0.0f);
+          const std::vector<float> xp =
+              explicitly_zero_padded(x, c.c_in, h, w, pad);
+          const std::vector<float> wt = random_vec(c.out_ch * ckk, rng, 0.0f);
+          const std::vector<float> bias = random_vec(c.out_ch, rng, 0.0f);
+          const ConvGeometry unpadded{kernel, stride, 0};
+          for (const bool fused : {false, true}) {
+            const float* b = fused ? bias.data() : nullptr;
+            std::vector<float> y(at(c.out_ch * ohw), -3.0f);
+            std::vector<float> y_ref(y.size(), 5.0f);
+            conv2d_forward_plane(x.data(), c.c_in, h, w, c.g, wt.data(),
+                                 c.out_ch, y.data(), b, fused, packed);
+            conv2d_forward_plane(xp.data(), c.c_in, h + 2 * pad, w + 2 * pad,
+                                 unpadded, wt.data(), c.out_ch, y_ref.data(),
+                                 b, fused, packed);
+            EXPECT_EQ(std::memcmp(y.data(), y_ref.data(),
+                                  y.size() * sizeof(float)),
+                      0)
+                << "k=" << kernel << " s=" << stride << " p=" << pad
+                << " h=" << h << " w=" << w << " bias+relu=" << fused;
+          }
+        }
+      }
+    }
+  }
+  // A plane past the staging cap (64 x 35 x 35 floats padded, > 256 KiB)
+  // keeps the clipped gather; it must still match the oracle.
+  check_case({64, 6, 33, 33, ConvGeometry{3, 1, 1}}, 0.0f, rng);
 }
 
 TEST(ConvKernels, MatchDirectLoopOnMaskedWeights) {

@@ -1,7 +1,8 @@
 // Work-stealing scheduler tests: nested parallel_for correctness under
 // contention, TaskGroup exception propagation, bitwise determinism of
 // fixed-tree reductions and of the tile-parallel conv kernels under
-// arbitrary stealing, and a multi-session engine stress test over one shared
+// arbitrary stealing (also when concurrent forwards re-enter the kernel on a
+// waiting thread), and a multi-session engine stress test over one shared
 // scheduler.
 //
 // Every test constructs its own Scheduler so thread counts are explicit and
@@ -333,6 +334,70 @@ TEST(Scheduler, TileParallelConvMatchesSerialBitwise) {
   conv2d_dgrad_plane(w.data(), kCh, g.data(), kCh, kH, kW, geom,
                      dx_pack.data(), prepacked);
   EXPECT_EQ(std::memcmp(dx_ref.data(), dx_pack.data(), bytes), 0);
+}
+
+TEST(Scheduler, ConcurrentTileParallelConvsStageIndependently) {
+  // A padded forward stages a zero-bordered copy of its input once per
+  // call. With parallel_tiles the caller waits on its tiles and helps with
+  // other queued tasks meanwhile — here other tile-parallel forwards on
+  // different inputs and shapes, which re-enter the kernel on the waiting
+  // thread. Each call's staged copy must survive that: every result equals
+  // its serial run bit for bit.
+  Scheduler sched(4);
+  SchedulerScope scope(sched);
+  struct Job {
+    std::int64_t c_in, out_ch, h, w;
+    ConvGeometry geom;
+    Tensor x, w_mat, y_ref;
+  };
+  const std::int64_t shapes[][5] = {
+      // c_in, out_ch, h, w, padding: several kNc output tiles each.
+      {8, 16, 31, 29, 1}, {5, 9, 27, 33, 2}, {12, 8, 23, 25, 1},
+      {3, 12, 35, 21, 3}};
+  Rng rng(0x5EA);
+  std::vector<Job> jobs;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const auto& s : shapes) {
+      Job job{s[0], s[1], s[2], s[3], ConvGeometry{3, 1, s[4]}, {}, {}, {}};
+      const std::int64_t oh = job.geom.out_extent(job.h);
+      const std::int64_t ow = job.geom.out_extent(job.w);
+      job.x = Tensor::randn({job.c_in, job.h, job.w}, rng);
+      job.w_mat = Tensor::randn({job.out_ch, job.c_in * 9}, rng, 0.1f);
+      job.y_ref = Tensor({job.out_ch, oh, ow});
+      conv2d_forward_plane(job.x.data(), job.c_in, job.h, job.w, job.geom,
+                           job.w_mat.data(), job.out_ch, job.y_ref.data(),
+                           nullptr, false, {.weight_zero_fraction = 0.0f});
+      jobs.push_back(std::move(job));
+    }
+  }
+
+  ConvKernelOpts tiled;
+  tiled.weight_zero_fraction = 0.0f;  // force the packed path
+  tiled.parallel_tiles = true;
+  for (int round = 0; round < 10; ++round) {
+    std::vector<Tensor> ys;
+    ys.reserve(jobs.size());
+    for (const Job& job : jobs) ys.emplace_back(job.y_ref.shape());
+    parallel_for(
+        static_cast<std::int64_t>(jobs.size()),
+        [&](std::int64_t b, std::int64_t e) {
+          for (std::int64_t i = b; i < e; ++i) {
+            const Job& job = jobs[static_cast<std::size_t>(i)];
+            conv2d_forward_plane(job.x.data(), job.c_in, job.h, job.w,
+                                 job.geom, job.w_mat.data(), job.out_ch,
+                                 ys[static_cast<std::size_t>(i)].data(),
+                                 nullptr, false, tiled);
+          }
+        },
+        /*grain=*/1);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_EQ(std::memcmp(ys[i].data(), jobs[i].y_ref.data(),
+                            static_cast<std::size_t>(ys[i].numel()) *
+                                sizeof(float)),
+                0)
+          << "round " << round << " job " << i;
+    }
+  }
 }
 
 TEST(Scheduler, DefaultThreadCountHonorsRtThreadsEnv) {
