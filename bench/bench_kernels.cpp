@@ -170,8 +170,6 @@ void BM_ConvTrain(benchmark::State& state) {
     // forward + wgrad + dgrad each cost 2 * ch^2 * 9 * h * w MACs per sample.
     flops_per_iter += 3 * kBatch * 2 * s.ch * ckk * s.h * s.w;
   }
-  rt::ConvKernelOpts opts;
-  opts.weight_zero_fraction = 0.0f;  // dense weights: the packed path
 
   for (auto _ : state) {
     for (std::size_t l = 0; l < xs.size(); ++l) {
@@ -182,14 +180,12 @@ void BM_ConvTrain(benchmark::State& state) {
       for (std::int64_t i = 0; i < kBatch; ++i) {
         rt::conv2d_forward_plane(xs[l].data() + i * plane, s.ch, s.h, s.w,
                                  geom, ws[l].data(), s.ch,
-                                 ys[l].data() + i * plane, nullptr, false,
-                                 opts);
+                                 ys[l].data() + i * plane);
         rt::conv2d_wgrad_plane(gs[l].data() + i * plane, xs[l].data() + i * plane,
-                               s.ch, s.h, s.w, geom, s.ch, dws[l].data(),
-                               opts);
+                               s.ch, s.h, s.w, geom, s.ch, dws[l].data());
         rt::conv2d_dgrad_plane(ws[l].data(), s.ch, gs[l].data() + i * plane,
                                s.ch, s.h, s.w, geom,
-                               dxs[l].data() + i * plane, opts);
+                               dxs[l].data() + i * plane);
       }
       benchmark::DoNotOptimize(ys[l].data());
       benchmark::DoNotOptimize(dws[l].data());
@@ -242,7 +238,6 @@ void BM_ConvForward(benchmark::State& state) {
       const Shape& s = kShapes[l];
       const rt::ConvGeometry geom{s.kernel, s.stride, s.padding};
       rt::ConvKernelOpts opts;
-      opts.weight_zero_fraction = 0.0f;  // dense weights: the packed path
       opts.packed_weights = &packed[l];
       const std::int64_t in_plane = s.c_in * s.h * s.h;
       const std::int64_t out_plane = ys[l].numel() / kBatch;
@@ -299,7 +294,6 @@ void BM_ConvTrainMT(benchmark::State& state) {
   rt::Scheduler sched(threads);
   rt::SchedulerScope scope(sched);
   rt::ConvKernelOpts opts;
-  opts.weight_zero_fraction = 0.0f;  // dense weights: the packed path
   opts.parallel_tiles = nested;
 
   for (auto _ : state) {

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# One-command PR gate: tier-1 verify (configure + build + full ctest) plus a
-# bench_kernels smoke run so kernel-throughput regressions surface early.
+# One-command PR gate: tier-1 verify (configure + build + full ctest), the
+# repo benchmark's self-test (perfbench/run.py --selftest: the benchmark
+# still builds against src/ and reports the metric names BENCHMARK.json
+# declares) plus a bench_kernels smoke run so kernel-throughput regressions
+# surface early.
 # The main build promotes warnings to errors (-DRT_WERROR=ON); local builds
 # outside the gate keep them as warnings.
 #
@@ -80,6 +83,7 @@ tier1_pass() {
     ctest --test-dir build --output-on-failure -j"${JOBS}"
 }
 run_pass tier-1 tier1_pass
+run_pass perfbench-selftest python3 perfbench/run.py --selftest
 
 # The concurrency-heavy suites every sanitizer pass exercises, plus the
 # quantized kernel suite (int8 packing/requant arithmetic is where UB —

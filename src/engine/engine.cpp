@@ -25,6 +25,27 @@ std::int64_t div_round_up(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
+/// Output positions whose input tap at kernel offset `kpos` stays in
+/// bounds: the half-open range [o0, o1) (empty => o0 == o1). Resolves each
+/// CSR nonzero's valid output window at compile time.
+struct TapWindow {
+  std::int64_t o0 = 0, o1 = 0;
+};
+
+TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,
+                     std::int64_t kpos, std::int64_t stride,
+                     std::int64_t pad) {
+  const std::int64_t lo = pad - kpos;
+  // hi < 0 means no output position reads in bounds; guard it before the
+  // division, which truncates toward zero and would yield o1 == 1.
+  const std::int64_t hi = in_extent - 1 + pad - kpos;
+  TapWindow win;
+  win.o0 = lo > 0 ? (lo + stride - 1) / stride : 0;
+  win.o1 = hi < 0 ? 0 : std::min(out_extent, hi / stride + 1);
+  if (win.o1 < win.o0) win.o1 = win.o0;
+  return win;
+}
+
 std::string base_name(const std::string& param_name) {
   const std::string suffix = ".weight";
   if (param_name.size() > suffix.size() &&
@@ -248,14 +269,10 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
   }
   pack_weights(p, std::move(w), p.out_ch, ckk, p.out_h * p.out_w, options,
                plans, /*allow_compact=*/true);
-  // Dense-style formats dispatch between the packed implicit-GEMM kernel and
-  // its zero-skipping tap path at run time; freeze the deciding statistic,
-  // and when the packed path will run, pay the weight-panel pack here — once
-  // per compile instead of once per serve-time plane call.
-  p.weight_zero_fraction = weight_zero_fraction(
-      p.weight.data(), static_cast<std::int64_t>(p.weight.size()));
-  if (p.format != PackedFormat::kCsr && !p.int8_exec && !p.weight.empty() &&
-      p.weight_zero_fraction < kConvSparseWeightFraction) {
+  // Dense-style fp32 formats run the packed implicit-GEMM kernel; pay the
+  // weight-panel pack here — once per compile instead of once per serve-time
+  // plane call.
+  if (p.format != PackedFormat::kCsr && !p.int8_exec && !p.weight.empty()) {
     const auto rows = static_cast<std::int64_t>(p.weight.size()) / ckk;
     p.prepacked.pack(p.weight.data(), rows, ckk, /*forward=*/true,
                      /*dgrad=*/false);
@@ -276,8 +293,6 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
       const std::int64_t cin = col / k2;
       const std::int64_t ki = (col % k2) / p.geom.kernel;
       const std::int64_t kj = col % p.geom.kernel;
-      // tap_window (linalg/conv) is the same boundary math the training tap
-      // path runs — one definition for both sparse-conv executors.
       const TapWindow wi = tap_window(p.out_h, in_h, ki, stride, pad);
       const TapWindow wj = tap_window(p.out_w, in_w, kj, stride, pad);
       const std::int64_t oi0 = wi.o0, oj0 = wj.o0;
@@ -299,7 +314,7 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
   }
   if (p.int8_exec) {
     // Native layers execute the integer encoding; the dequantized floats
-    // are dead weight once the zero fraction and taps are resolved — drop
+    // are dead weight once the taps are resolved — drop
     // them, so int8 plans are genuinely smaller resident, not just on wire.
     if (p.format == PackedFormat::kCsr) {
       std::vector<float>().swap(p.csr.values);

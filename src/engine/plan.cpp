@@ -165,12 +165,9 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
   }
   // Dense-style formats run the fused implicit-GEMM forward: virtual im2col
   // panels are gathered on the fly into the packed micro-kernel layout, so
-  // the per-sample column buffer is never materialized. The compile-time
-  // zero fraction steers the kernel onto its tap path for weights that are
-  // masked but not sparse enough for CSR; layers the packed path executes
-  // carry compile-time pre-packed weight panels.
+  // the per-sample column buffer is never materialized. The weight panels
+  // were pre-packed at compile time.
   ConvKernelOpts kopts;
-  kopts.weight_zero_fraction = weight_zero_fraction;
   kopts.packed_weights = &prepacked;
   for (std::int64_t i = 0; i < n; ++i) {
     const float* xi = in + i * in_floats();
@@ -398,8 +395,7 @@ RT_HOT void PackedLinear::run(const float* in, float* out, std::int64_t n,
     spmm_csr_rhs_t(csr, n, in, out);
   } else {
     gemm_nt(n, out_features, in_features, in, weight.data(), out,
-            {.accumulate = false, .parallel = false,
-             .skip_zero_b_rows = false});
+            {.accumulate = false, .parallel = false});
   }
   for (std::int64_t i = 0; i < n; ++i) {
     float* yrow = out + i * out_features;

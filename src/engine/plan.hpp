@@ -137,14 +137,10 @@ struct PackedConv {
 
   /// kDense: (out_ch, ckk); kChannelCompact: (kept_rows.size(), ckk).
   std::vector<float> weight;
-  /// Zero fraction of `weight`, counted once at compile time so the conv
-  /// kernel dispatch (packed implicit GEMM vs zero-skipping taps) never
-  /// re-probes the weights at serve time.
-  float weight_zero_fraction = 0.0f;
   /// Micro-kernel weight panels, packed once at Engine::compile time for
-  /// layers the packed implicit-GEMM path will execute — serve-time calls
-  /// skip the per-call panel re-pack entirely. Empty for CSR and tap-path
-  /// layers, which never consume panels.
+  /// the dense and channel-compact fp32 layers — serve-time calls skip the
+  /// per-call panel re-pack entirely. Empty for CSR and int8 layers, which
+  /// never consume panels.
   PackedWeights prepacked;
   std::vector<std::int32_t> kept;  ///< kChannelCompact: surviving channels
   CsrMatrix csr;                   ///< kCsr

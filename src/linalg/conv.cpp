@@ -19,12 +19,6 @@ namespace {
 // then reused — the full dcol buffer never exists.
 constexpr std::int64_t kMcScatter = 64;
 
-// The tap-path crossover is kConvSparseWeightFraction (conv.hpp): past ~80%
-// zeros, skipping weights wholesale beats the packed path's ~5x dense
-// throughput advantage — the same reasoning as the GEMM dispatch in
-// gemm.cpp, and it matches the serving engine's CSR cutoff (density <= 0.2)
-// so training and serving flip to sparse execution at the same sparsity.
-
 /// Decode table for flattened weight columns: column index r of the
 /// (out_ch, C*k*k) weight matrix touches input channel c[r] at kernel
 /// offset (ki[r], kj[r]). Rebuilt only when the geometry changes.
@@ -324,16 +318,6 @@ void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
   }
 }
 
-/// Forward/dgrad dispatch: the weight's zero fraction (the caller's
-/// precomputed value, else counted here) picks the tap path past the
-/// crossover, the packed path below it.
-bool use_taps(const ConvKernelOpts& opts, const float* weight,
-              std::int64_t count) {
-  float zf = opts.weight_zero_fraction;
-  if (zf < 0.0f) zf = weight_zero_fraction(weight, count);
-  return zf >= kConvSparseWeightFraction;
-}
-
 /// Runs `tiles(t0, t1)` over the `count` output-column tiles of a packed
 /// kernel: as stealable subtasks when the caller asked for tile parallelism
 /// (grain 1 — a tile is already kNc columns of work), serial otherwise.
@@ -432,44 +416,6 @@ RT_HOT void forward_packed(const float* x, std::int64_t c_in, std::int64_t h,
   });
 }
 
-RT_HOT void forward_taps(const float* x, std::int64_t c_in, std::int64_t h,
-                         std::int64_t w, const ConvGeometry& g,
-                         const float* weight, std::int64_t out_ch, float* y) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t s = g.stride;
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-    const float* wrow = weight + oc * ckk;
-    float* yplane = y + oc * ohw;
-    for (std::int64_t p = 0; p < ckk; ++p) {
-      const float v = wrow[p];
-      if (v == 0.0f) continue;
-      const auto pr = static_cast<std::size_t>(p);
-      const std::int64_t ki = dec.ki[pr], kj = dec.kj[pr];
-      const TapWindow wi = tap_window(oh, h, ki, s, g.padding);
-      const TapWindow wj = tap_window(ow, w, kj, s, g.padding);
-      const std::int64_t count = wj.o1 - wj.o0;
-      if (wi.o1 <= wi.o0 || count <= 0) continue;
-      const float* xplane =
-          x + static_cast<std::int64_t>(dec.c[pr]) * h * w;
-      const std::int64_t jj0 = wj.o0 * s - g.padding + kj;
-      for (std::int64_t oi = wi.o0; oi < wi.o1; ++oi) {
-        const std::int64_t ii = oi * s - g.padding + ki;
-        const float* __restrict xr = xplane + ii * w + jj0;
-        float* __restrict yr = yplane + oi * ow + wj.o0;
-        if (s == 1) {
-          for (std::int64_t j = 0; j < count; ++j) yr[j] += v * xr[j];
-        } else {
-          for (std::int64_t j = 0; j < count; ++j) yr[j] += v * xr[j * s];
-        }
-      }
-    }
-  }
-}
-
 // ---- input gradient ---------------------------------------------------------
 
 RT_HOT void dgrad_packed(const float* weight, std::int64_t out_ch,
@@ -524,43 +470,6 @@ RT_HOT void dgrad_packed(const float* weight, std::int64_t out_ch,
         }
       }
       scatter_col_tile(ctile, ic, mb, jc, nb, dec, g, h, w, ow, dx);
-    }
-  }
-}
-
-void dgrad_taps(const float* weight, std::int64_t out_ch, const float* gout,
-                std::int64_t c_in, std::int64_t h, std::int64_t w,
-                const ConvGeometry& g, float* dx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t s = g.stride;
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-    const float* wrow = weight + oc * ckk;
-    const float* gplane = gout + oc * ohw;
-    for (std::int64_t p = 0; p < ckk; ++p) {
-      const float v = wrow[p];
-      if (v == 0.0f) continue;
-      const auto pr = static_cast<std::size_t>(p);
-      const std::int64_t ki = dec.ki[pr], kj = dec.kj[pr];
-      const TapWindow wi = tap_window(oh, h, ki, s, g.padding);
-      const TapWindow wj = tap_window(ow, w, kj, s, g.padding);
-      const std::int64_t count = wj.o1 - wj.o0;
-      if (wi.o1 <= wi.o0 || count <= 0) continue;
-      float* xplane = dx + static_cast<std::int64_t>(dec.c[pr]) * h * w;
-      const std::int64_t jj0 = wj.o0 * s - g.padding + kj;
-      for (std::int64_t oi = wi.o0; oi < wi.o1; ++oi) {
-        const std::int64_t ii = oi * s - g.padding + ki;
-        float* __restrict xr = xplane + ii * w + jj0;
-        const float* __restrict gr = gplane + oi * ow + wj.o0;
-        if (s == 1) {
-          for (std::int64_t j = 0; j < count; ++j) xr[j] += v * gr[j];
-        } else {
-          for (std::int64_t j = 0; j < count; ++j) xr[j * s] += v * gr[j];
-        }
-      }
     }
   }
 }
@@ -979,14 +888,9 @@ void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
   std::memset(y, 0, static_cast<std::size_t>(out_ch * oh * ow) *
                         sizeof(float));
-  if (use_taps(opts, weight, out_ch * ckk)) {
-    forward_taps(x, c_in, h, w, g, weight, out_ch, y);
-  } else {
-    forward_packed(x, c_in, h, w, g, weight, out_ch, y, opts);
-  }
+  forward_packed(x, c_in, h, w, g, weight, out_ch, y, opts);
   bias_relu_epilogue(y, bias, out_ch, oh * ow, relu);
 }
 
@@ -997,12 +901,7 @@ void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  if (use_taps(opts, weight, out_ch * ckk)) {
-    dgrad_taps(weight, out_ch, gout, c_in, h, w, g, dx);
-  } else {
-    dgrad_packed(weight, out_ch, gout, c_in, h, w, g, dx, opts);
-  }
+  dgrad_packed(weight, out_ch, gout, c_in, h, w, g, dx, opts);
 }
 
 void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
@@ -1038,29 +937,6 @@ void PackedWeights::clear() {
   dgrad_.clear();
   out_ch_ = 0;
   ckk_ = 0;
-}
-
-TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,
-                     std::int64_t kpos, std::int64_t stride,
-                     std::int64_t pad) {
-  const std::int64_t lo = pad - kpos;
-  // hi < 0 means no output position reads in bounds; guard it before the
-  // division, which truncates toward zero and would yield o1 == 1.
-  const std::int64_t hi = in_extent - 1 + pad - kpos;
-  TapWindow win;
-  win.o0 = lo > 0 ? (lo + stride - 1) / stride : 0;
-  win.o1 = hi < 0 ? 0 : std::min(out_extent, hi / stride + 1);
-  if (win.o1 < win.o0) win.o1 = win.o0;
-  return win;
-}
-
-float weight_zero_fraction(const float* weight, std::int64_t count) {
-  if (count <= 0) return 0.0f;
-  std::int64_t zeros = 0;
-  for (std::int64_t i = 0; i < count; ++i) {
-    if (weight[i] == 0.0f) ++zeros;
-  }
-  return static_cast<float>(zeros) / static_cast<float>(count);
 }
 
 }  // namespace rt

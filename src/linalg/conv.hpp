@@ -2,9 +2,9 @@
 // Convolution kernel layer: fused implicit-GEMM forward / input-gradient /
 // weight-gradient over one (C, H, W) plane, plus the int8 serving forward
 // over a batch of planes.
-// The weight operand picks the fp32 path (packed implicit GEMM or
-// zero-skipping taps); no caller-set switch overrides it. The direct-loop
-// oracle these kernels are verified against lives in
+// Every fp32 forward and input-gradient call runs the packed implicit GEMM,
+// whatever the weight's zero count; no caller-set switch selects a path.
+// The direct-loop oracle these kernels are verified against lives in
 // tests/test_conv_kernels.cpp.
 //
 // The implicit kernels view the convolution as the GEMMs
@@ -32,12 +32,6 @@
 // gathers pack the same values in the same k order, so the choice never
 // changes a bit. The dgrad scatter and the wgrad gather still guard every
 // border tap.
-//
-// Masked tickets keep their fast path: when the weight matrix is zeroed past
-// the sparsity crossover, forward and dgrad switch to a tap loop that slides
-// each nonzero weight's valid output window directly over the input — the
-// training-path analogue of the engine's compiled implicit sparse conv —
-// skipping zero weights wholesale.
 //
 // The kernels are serial by default: batch-level parallelism (one sample per
 // scheduler task, one Session workspace per predict) composes better than
@@ -68,13 +62,6 @@ struct ConvGeometry {
     return (in_extent + 2 * padding - kernel) / stride + 1;
   }
 };
-
-/// Weight zero fraction past which the zero-skipping tap path overtakes the
-/// packed implicit-GEMM path's higher dense throughput (~5x dense advantage,
-/// same reasoning as the GEMM dispatch crossover). Exported so batch loops
-/// and Engine::compile can predict the dispatch — e.g. to pre-pack weight
-/// panels only when the packed path will actually run.
-inline constexpr float kConvSparseWeightFraction = 0.80f;
 
 /// Weight panels in the packed micro-kernel layout, gathered once and reused
 /// across every plane call that shares the weight — per batch in Conv2d, per
@@ -115,15 +102,12 @@ class PackedWeights {
 };
 
 struct ConvKernelOpts {
-  /// Fraction of zero entries in the weight matrix; negative = unknown, in
-  /// which case forward/dgrad count it per call. It alone picks the path:
-  /// the tap path at or past kConvSparseWeightFraction, the packed path
-  /// below. Batch loops should count once (weights are shared across
-  /// samples) and pass the value down.
+  /// Unread: no kernel consults it. It stays declared only because the
+  /// frozen benchmark probes (perfbench/src/probes.cpp) set it; delete it
+  /// together with that line.
   float weight_zero_fraction = -1.0f;
-  /// Pre-packed panels for this weight (see PackedWeights). Consulted only
-  /// when the packed implicit-GEMM path runs and the extents match; the
-  /// kernels fall back to local packing otherwise.
+  /// Pre-packed panels for this weight (see PackedWeights). Consulted when
+  /// the extents match; the kernels fall back to local packing otherwise.
   const PackedWeights* packed_weights = nullptr;
   /// Split the forward/wgrad output-column tile loop into stealable
   /// subtasks on the current scheduler. Off by default — batch-level
@@ -191,24 +175,10 @@ void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,
 /// Weight gradient: dw (out_ch, C*k*k) += gout (out_ch, OH, OW) *
 /// col(x)^T. Accumulates into dw (per-sample calls sum over the batch).
 /// Gradients are dense regardless of weight masks (masked entries are
-/// re-zeroed by the optimizer), so there is no tap path here.
+/// re-zeroed by the optimizer).
 void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
                         std::int64_t h, std::int64_t w, const ConvGeometry& g,
                         std::int64_t out_ch, float* dw,
                         const ConvKernelOpts& opts = {});
-
-/// Exact zero fraction of a weight matrix — the value batch loops pass as
-/// ConvKernelOpts::weight_zero_fraction.
-float weight_zero_fraction(const float* weight, std::int64_t count);
-
-/// Output positions whose input tap at kernel offset `kpos` stays in
-/// bounds: the half-open range [o0, o1) (empty => o0 == o1). One definition
-/// shared by the training tap path and the engine's compile-time CSR tap
-/// resolution, so the two sparse-conv executors can never drift.
-struct TapWindow {
-  std::int64_t o0 = 0, o1 = 0;
-};
-TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,
-                     std::int64_t kpos, std::int64_t stride, std::int64_t pad);
 
 }  // namespace rt

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "common/audit.hpp"
 #include "common/scheduler.hpp"
@@ -23,13 +22,12 @@ constexpr std::int64_t kParallelWork = 1 << 18;
 // loops only add overhead; stream it unblocked like the old kernels did.
 constexpr std::int64_t kCacheResidentFloats = 1 << 18;
 
-// Dispatch thresholds between the packed register-tiled path (dense) and the
-// zero-skipping legacy cores (masked tickets). The packed kernel runs dense
-// FLOPs ~5x faster than the streaming axpy/dot cores (62 vs ~12 GFLOP/s
+// Dispatch threshold between the packed register-tiled path (dense) and the
+// zero-skipping axpy cores (masked tickets). The packed kernel runs dense
+// FLOPs ~5x faster than the streaming axpy cores (62 vs ~12 GFLOP/s
 // single-thread on the reference host), so skipping only wins once the
 // skipped fraction outweighs that ratio — around 80% zeros.
 constexpr float kSparseAFraction = 0.80f;
-constexpr float kSparseBRowFraction = 0.80f;
 
 void zero_rows(float* c, std::int64_t n, std::int64_t i0, std::int64_t i1) {
   std::memset(c + i0 * n, 0, static_cast<std::size_t>((i1 - i0) * n) *
@@ -113,32 +111,6 @@ void axpy_core(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
   }
 }
 
-// dot core: crow[j] += <arow, B-row j> over k-panels; B is (n x k) and rows
-// that are entirely zero (channel-pruned weights) are skipped wholesale via
-// the precomputed skip mask.
-void dot_core(std::int64_t n, std::int64_t k, const float* a, const float* b,
-              float* c, bool accumulate, const std::uint8_t* b_row_zero,
-              std::int64_t i0, std::int64_t i1) {
-  if (!accumulate) zero_rows(c, n, i0, i1);
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t je = std::min(jc + kNc, n);
-    for (std::int64_t kc = 0; kc < k; kc += kKc) {
-      const std::int64_t kb = std::min(kKc, k - kc);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float* arow = a + i * k + kc;
-        float* crow = c + i * n;
-        for (std::int64_t j = jc; j < je; ++j) {
-          if (b_row_zero[static_cast<std::size_t>(j)]) continue;
-          const float* brow = b + j * k + kc;
-          float acc = 0.0f;
-          for (std::int64_t kk = 0; kk < kb; ++kk) acc += arow[kk] * brow[kk];
-          crow[j] += acc;
-        }
-      }
-    }
-  }
-}
-
 // Pack-buffer scratch for the packed cores. The tile shapes are compile-time
 // constants, so plain arrays (not vectors) make every packed_core
 // instantiation allocation-free — one 160 KiB TLS block shared by all four
@@ -184,22 +156,6 @@ RT_HOT void packed_core(std::int64_t m, std::int64_t n, std::int64_t k,
       }
     }
   }
-}
-
-// One early-exiting pass over B's rows; dense rows cost one load each.
-std::vector<std::uint8_t> scan_zero_rows(std::int64_t n, std::int64_t k,
-                                         const float* b) {
-  std::vector<std::uint8_t> zero(static_cast<std::size_t>(n), 1);
-  for (std::int64_t j = 0; j < n; ++j) {
-    const float* brow = b + j * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      if (brow[kk] != 0.0f) {
-        zero[static_cast<std::size_t>(j)] = 0;
-        break;
-      }
-    }
-  }
-  return zero;
 }
 
 template <typename Core>
@@ -255,77 +211,19 @@ void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
   gemm_axpy_family<true>(m, n, k, a, b, c, opts);
 }
 
-namespace {
-
-/// Shared nt-shape body: `b_row_zero` is the all-zero-row scan of B (empty
-/// when the caller disabled it). Past the crossover the dot core skips
-/// those rows wholesale; below it the packed path is faster even counting
-/// the wasted zero FLOPs.
-void gemm_nt_dispatch(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float* a, const float* b, float* c,
-                      const GemmOpts& opts,
-                      const std::vector<std::uint8_t>& b_row_zero) {
-  std::int64_t zero_count = 0;
-  for (const std::uint8_t z : b_row_zero) zero_count += z;
-  const bool sparse = static_cast<float>(zero_count) >=
-                      kSparseBRowFraction * static_cast<float>(n);
-  if (sparse) {
-    // Past the crossover the scan ran (zero_count > 0), so the mask exists.
-    const std::uint8_t* mask = b_row_zero.data();
-    dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
-      dot_core(n, k, a, b, c, opts.accumulate, mask, i0, i1);
-    });
-  } else {
-    dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
-      packed_core<false, true>(m, n, k, a, b, c, opts.accumulate, i0, i1);
-    });
-  }
-}
-
-}  // namespace
-
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
              const float* b, float* c, const GemmOpts& opts) {
-  if (m <= 0 || n <= 0 || k <= 0) {
-    dispatch(m, n, k, c, opts, [](std::int64_t, std::int64_t) {});
-    return;
-  }
-  std::vector<std::uint8_t> b_row_zero;
-  if (opts.skip_zero_b_rows) b_row_zero = scan_zero_rows(n, k, b);
-  gemm_nt_dispatch(m, n, k, a, b, c, opts, b_row_zero);
+  dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
+    packed_core<false, true>(m, n, k, a, b, c, opts.accumulate, i0, i1);
+  });
 }
 
 void gemm_tt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
              const float* b, float* c, const GemmOpts& opts) {
-  if (m <= 0 || n <= 0 || k <= 0) {
-    dispatch(m, n, k, c, opts, [](std::int64_t, std::int64_t) {});
-    return;
-  }
-  // Same B-row crossover contract as gemm_nt; the scan runs once here and
-  // feeds the shared dispatcher on the sparse path.
-  std::vector<std::uint8_t> b_row_zero;
-  std::int64_t zero_count = 0;
-  if (opts.skip_zero_b_rows) {
-    b_row_zero = scan_zero_rows(n, k, b);
-    for (const std::uint8_t z : b_row_zero) zero_count += z;
-  }
-  const bool sparse = static_cast<float>(zero_count) >=
-                      kSparseBRowFraction * static_cast<float>(n);
-  if (!sparse) {
-    // Both transposes are absorbed by the packing routines; no A^T copy.
-    dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
-      packed_core<true, true>(m, n, k, a, b, c, opts.accumulate, i0, i1);
-    });
-    return;
-  }
-  // Skip path (no hot caller transposes both sides): materialize
-  // A^T once, then reuse the nt machinery with the scan already in hand.
-  std::vector<float> at(static_cast<std::size_t>(m * k));
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = a + kk * m;
-    for (std::int64_t i = 0; i < m; ++i) at[static_cast<std::size_t>(i * k + kk)] = arow[i];
-  }
-  gemm_nt_dispatch(m, n, k, at.data(), b, c, opts, b_row_zero);
+  // Both transposes are absorbed by the packing routines; no A^T copy.
+  dispatch(m, n, k, c, opts, [&](std::int64_t i0, std::int64_t i1) {
+    packed_core<true, true>(m, n, k, a, b, c, opts.accumulate, i0, i1);
+  });
 }
 
 }  // namespace rt

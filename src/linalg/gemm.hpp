@@ -20,12 +20,10 @@
 // FLOP count amortizes the fork/join cost; nested under an outer batch
 // loop, those blocks backfill idle workers instead of running inline.
 //
-// Masked-ticket workloads dominate this codebase, so each call samples its
-// weight operand and switches to a zero-skipping core past the crossover
-// where skipping beats the packed kernel's higher dense throughput: zero
-// multipliers are skipped element-wise in the axpy cores (nn/tn), and rows
-// of B that are entirely zero — e.g. channel-pruned weights — are skipped
-// wholesale in the dot cores (nt/tt).
+// Masked-ticket workloads dominate this codebase, so nn/tn calls sample
+// their A operand and switch to a zero-skipping axpy core past the crossover
+// where skipping zero multipliers element-wise beats the packed kernel's
+// higher dense throughput.
 
 #include <cstdint>
 
@@ -34,10 +32,6 @@ namespace rt {
 struct GemmOpts {
   bool accumulate = false;  ///< C += product instead of C = product.
   bool parallel = true;     ///< Allow splitting C rows across the Scheduler.
-  /// nt/tt only: scan B for all-zero rows (channel-pruned weights) and skip
-  /// them wholesale. Disable when B is an activation buffer that is never
-  /// structurally zero — the scan costs one extra pass over B per call.
-  bool skip_zero_b_rows = true;
 };
 
 void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,

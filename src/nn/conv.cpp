@@ -50,19 +50,13 @@ Tensor Conv2d::forward(const Tensor& x) {
   const std::int64_t in_plane = in_channels_ * h * w;
   const std::int64_t out_plane = out_channels_ * oh * ow;
 
-  // The weight is shared across the batch: count its zero fraction once so
-  // every sample's kernel call dispatches without re-probing it, and when
-  // the packed path will run, pack the weight panels once instead of once
-  // per sample.
+  // The weight is shared across the batch: pack its panels once instead of
+  // once per sample.
+  packed_weights_.pack(wd, out_channels_,
+                       in_channels_ * geom_.kernel * geom_.kernel,
+                       /*forward=*/true, /*dgrad=*/false);
   ConvKernelOpts kopts;
-  kopts.weight_zero_fraction =
-      weight_zero_fraction(wd, weight_.value.numel());
-  if (kopts.weight_zero_fraction < kConvSparseWeightFraction) {
-    packed_weights_.pack(wd, out_channels_,
-                         in_channels_ * geom_.kernel * geom_.kernel,
-                         /*forward=*/true, /*dgrad=*/false);
-    kopts.packed_weights = &packed_weights_;
-  }
+  kopts.packed_weights = &packed_weights_;
   // Batch-level tasks fill the machine when n >= lanes; below that, let the
   // kernels split their output tiles so the idle lanes steal intra-plane
   // work (bitwise-identical either way).
@@ -95,15 +89,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* gd = grad_out.data();
   const float* xd = x.data();
 
+  // dgrad consumes W^T panels; pre-pack them once for the whole batch.
+  packed_weights_.pack(wd, out_channels_, ckk, /*forward=*/false,
+                       /*dgrad=*/true);
   ConvKernelOpts kopts;
-  kopts.weight_zero_fraction =
-      weight_zero_fraction(wd, weight_.value.numel());
-  if (kopts.weight_zero_fraction < kConvSparseWeightFraction) {
-    // dgrad consumes W^T panels; pre-pack them once for the whole batch.
-    packed_weights_.pack(wd, out_channels_, ckk, /*forward=*/false,
-                         /*dgrad=*/true);
-    kopts.packed_weights = &packed_weights_;
-  }
+  kopts.packed_weights = &packed_weights_;
   kopts.parallel_tiles = n < Scheduler::current().num_threads();
 
   // Weight-gradient accumulation: each slot owns a contiguous sample range

@@ -160,8 +160,11 @@ TEST(AdversarialTraining, ImprovesRobustAccuracy) {
   Rng rng_init2(23);
   auto robust = make_micro_resnet18(10, rng_init2);
 
+  // 14 epochs is the smallest count at which every one of ten (init, train)
+  // seed pairs clears the bound below by at least 0.12; at 12, one pair
+  // clears it by 0.017, and at 10 one fails.
   TrainLoopConfig nat_cfg;
-  nat_cfg.epochs = 6;
+  nat_cfg.epochs = 14;
   Rng t1(24);
   train_classifier(*natural, train, nat_cfg, t1);
 

@@ -1,10 +1,9 @@
 // Conformance tests for the fp32 convolution kernels in linalg/conv.hpp:
 // forward, input-gradient and weight-gradient against a direct-loop oracle
 // (accumulating in double) across kernel x stride x padding x odd-extent
-// geometries, on both the packed implicit-GEMM path and the zero-skipping
-// tap path; the forward's staged padded-plane gather against its clipped
-// gather, bit for bit; plus a finite-difference gradcheck on a masked
-// Conv2d layer.
+// geometries, with dense and masked weights; the forward's staged
+// padded-plane gather against its clipped gather, bit for bit; plus a
+// finite-difference gradcheck on a masked Conv2d layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,22 +111,21 @@ std::vector<float> ref_wgrad(const Case& c, const std::vector<float>& x,
 }
 
 void expect_near(const std::vector<float>& got, const std::vector<float>& want,
-                 const char* what, const Case& c, float hint) {
+                 const char* what, const Case& c, float zero_fraction) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     const float scale = std::max(1.0f, std::fabs(want[i]));
     ASSERT_NEAR(got[i], want[i], 1e-4f * scale)
         << what << " k=" << c.g.kernel << " s=" << c.g.stride
         << " p=" << c.g.padding << " c_in=" << c.c_in << " out=" << c.out_ch
-        << " h=" << c.h << " w=" << c.w << " zero_fraction_hint=" << hint
+        << " h=" << c.h << " w=" << c.w << " zero_fraction=" << zero_fraction
         << " index=" << i;
   }
 }
 
-/// Runs forward/dgrad/wgrad on one random problem and demands agreement
-/// with the direct-loop oracle at <= 1e-4. Forward and dgrad run twice, with
-/// the zero-fraction hint forcing the packed path (0.0) and the tap path
-/// (1.0); wgrad has only the packed path.
+/// Runs forward/dgrad/wgrad on one random problem, whose weights are zeroed
+/// at `weight_zero_fraction`, and demands agreement with the direct-loop
+/// oracle at <= 1e-4.
 void check_case(const Case& c, float weight_zero_fraction, Rng& rng) {
   const std::int64_t oh = c.g.out_extent(c.h);
   const std::int64_t ow = c.g.out_extent(c.w);
@@ -143,26 +141,24 @@ void check_case(const Case& c, float weight_zero_fraction, Rng& rng) {
   const std::vector<float> dx0 = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
   const std::vector<float> dw0 = random_vec(c.out_ch * ckk, rng, 0.0f);
 
-  for (const float hint : {0.0f, 1.0f}) {
-    const ConvKernelOpts opts{.weight_zero_fraction = hint};
-    for (const bool relu : {false, true}) {
-      std::vector<float> y(static_cast<std::size_t>(c.out_ch * oh * ow),
-                           -3.0f);
-      conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(),
-                           c.out_ch, y.data(), bias.data(), relu, opts);
-      expect_near(y, ref_forward(c, x, w, bias, relu),
-                  relu ? "forward+relu" : "forward", c, hint);
-    }
-    std::vector<float> dx = dx0;
-    conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w,
-                       c.g, dx.data(), opts);
-    expect_near(dx, ref_dgrad(c, w, gout, dx0), "dgrad", c, hint);
+  for (const bool relu : {false, true}) {
+    std::vector<float> y(static_cast<std::size_t>(c.out_ch * oh * ow), -3.0f);
+    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
+                         y.data(), bias.data(), relu);
+    expect_near(y, ref_forward(c, x, w, bias, relu),
+                relu ? "forward+relu" : "forward", c, weight_zero_fraction);
   }
+  std::vector<float> dx = dx0;
+  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
+                     dx.data());
+  expect_near(dx, ref_dgrad(c, w, gout, dx0), "dgrad", c,
+              weight_zero_fraction);
 
   std::vector<float> dw = dw0;
   conv2d_wgrad_plane(gout.data(), x.data(), c.c_in, c.h, c.w, c.g, c.out_ch,
                      dw.data());
-  expect_near(dw, ref_wgrad(c, x, gout, dw0), "wgrad", c, -1.0f);
+  expect_near(dw, ref_wgrad(c, x, gout, dw0), "wgrad", c,
+              weight_zero_fraction);
 }
 
 TEST(ConvKernels, MatchDirectLoopAcrossGeometries) {
@@ -182,11 +178,15 @@ TEST(ConvKernels, MatchDirectLoopAcrossGeometries) {
 
 TEST(ConvKernels, MatchDirectLoopAtMicroResNetShapes) {
   Rng rng(0xB16);
-  check_case({3, 16, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f, rng);
-  check_case({16, 32, 16, 16, ConvGeometry{3, 2, 1}}, 0.0f, rng);
-  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, rng);
-  // Wide-plane stem shape: ohw crosses several kNc panels.
-  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, rng);
+  // Dense weights and a 90%-masked ticket's weights run the same packed
+  // forward and dgrad at every shape.
+  for (const float zero_fraction : {0.0f, 0.9f}) {
+    check_case({3, 16, 16, 16, ConvGeometry{3, 1, 1}}, zero_fraction, rng);
+    check_case({16, 32, 16, 16, ConvGeometry{3, 2, 1}}, zero_fraction, rng);
+    check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, zero_fraction, rng);
+    // Wide-plane stem shape: ohw crosses several kNc panels.
+    check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, zero_fraction, rng);
+  }
 }
 
 /// x (c_in, h, w) copied into the centre of a zero-filled
@@ -211,7 +211,6 @@ TEST(ConvKernels, PaddedForwardMatchesExplicitlyPaddedInputBitwise) {
   // clipped gather. Both pack the same B values in the same k order, so
   // the outputs must agree bit for bit, with and without bias+ReLU.
   Rng rng(0x9AD);
-  const ConvKernelOpts packed{.weight_zero_fraction = 0.0f};
   for (const std::int64_t kernel : {1, 3, 5, 7}) {
     for (const std::int64_t stride : {1, 2}) {
       for (const std::int64_t pad : {1, 2, 3}) {
@@ -233,10 +232,10 @@ TEST(ConvKernels, PaddedForwardMatchesExplicitlyPaddedInputBitwise) {
             std::vector<float> y(at(c.out_ch * ohw), -3.0f);
             std::vector<float> y_ref(y.size(), 5.0f);
             conv2d_forward_plane(x.data(), c.c_in, h, w, c.g, wt.data(),
-                                 c.out_ch, y.data(), b, fused, packed);
+                                 c.out_ch, y.data(), b, fused);
             conv2d_forward_plane(xp.data(), c.c_in, h + 2 * pad, w + 2 * pad,
                                  unpadded, wt.data(), c.out_ch, y_ref.data(),
-                                 b, fused, packed);
+                                 b, fused);
             EXPECT_EQ(std::memcmp(y.data(), y_ref.data(),
                                   y.size() * sizeof(float)),
                       0)
@@ -253,34 +252,14 @@ TEST(ConvKernels, PaddedForwardMatchesExplicitlyPaddedInputBitwise) {
 }
 
 TEST(ConvKernels, MatchDirectLoopOnMaskedWeights) {
-  // >= 85% zeroed weights, the regime where the tap path is the production
-  // choice: exact zeros are skipped wholesale, nonzeros must still agree.
+  // >= 85% zeroed weights, a pruned ticket's regime: the packed kernels
+  // multiply the exact zeros like any other weight and must still agree.
   Rng rng(0x7A9);
   for (const std::int64_t stride : {1, 2}) {
     const Case c{6, 10, 15, 13, ConvGeometry{3, stride, 1}};
     check_case(c, 0.9f, rng);
   }
   check_case({4, 12, 9, 9, ConvGeometry{7, 1, 3}}, 0.85f, rng);
-}
-
-TEST(ConvKernels, AutoDispatchHonorsPrecomputedZeroFraction) {
-  // Passing the batch-level zero fraction must not change results, only the
-  // chosen path: the counted fraction (-1), the forced packed path (0) and
-  // the forced tap path (1) must all agree with the oracle.
-  Rng rng(0x11E);
-  const Case c{4, 8, 11, 11, ConvGeometry{3, 1, 1}};
-  const std::int64_t ckk = c.c_in * 9;
-  const std::vector<float> x = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
-  const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.5f);
-  const std::vector<float> no_bias(static_cast<std::size_t>(c.out_ch), 0.0f);
-  const std::vector<float> y_ref = ref_forward(c, x, w, no_bias, false);
-  for (const float hint : {-1.0f, 0.0f, 1.0f}) {
-    std::vector<float> y(y_ref.size());
-    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y.data(), nullptr, false,
-                         {.weight_zero_fraction = hint});
-    expect_near(y, y_ref, "forward", c, hint);
-  }
 }
 
 TEST(ConvKernels, GradcheckMaskedConv2d) {

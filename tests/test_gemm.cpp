@@ -1,10 +1,10 @@
 // Randomized conformance tests for the blocked/parallel GEMM kernels in
 // linalg/gemm.hpp: every transpose variant, accumulate on/off, dense and
 // heavily masked operands, shapes small enough to stay serial and large
-// enough to cross the blocking and parallel thresholds. The operands alone
-// pick the kernel, so the zero-skipping cores are reached by masking past
-// the ~80% crossover: A element zeros for the axpy cores (nn/tn), all-zero
-// B rows for the dot core (nt/tt).
+// enough to cross the blocking and parallel thresholds. The A operand alone
+// picks the nn/tn kernel, so the zero-skipping axpy cores are reached by
+// zeroing A past the ~80% crossover; nt/tt always run the packed kernel,
+// also on channel-pruned B with all-zero rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,8 +85,7 @@ std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
 }
 
 /// Zeroes op(B)'s column j — stored row j of nt/tt's (n, k) B — for every j
-/// except j % 5 == 4: n - n/5 >= 80% of the rows, a channel-pruned weight
-/// past the dot core's crossover.
+/// except j % 5 == 4: n - n/5 >= 80% of the rows, a channel-pruned weight.
 void prune_b_rows(std::vector<float>& b, Variant v, std::int64_t n,
                   std::int64_t k) {
   const bool trans = v == Variant::kNT || v == Variant::kTT;
@@ -163,15 +162,15 @@ TEST(Gemm, BlockedAndParallelPaths) {
 TEST(Gemm, BlockedSkipCores) {
   // k*n = 312000 > 2^18 floats: B no longer fits the cache-resident bound,
   // so 90%-masked A takes the blocked axpy core (nn/tn) across several kKc
-  // and kNc panels, and the row-pruned B takes the dot core (nt/tt) over
-  // the same panels. m*n*k is past the parallel threshold.
+  // and kNc panels. m*n*k is past the parallel threshold.
   Rng rng(0xB10C);
   check_case(24, 600, 520, 0.9f, /*parallel=*/true, rng);
 }
 
 TEST(Gemm, FullyMaskedBRowsAreSkippedButCorrect) {
-  // Channel-pruned weights: 14 of 17 rows of B zeroed (past the 80%
-  // crossover), so the nt dot core skips them wholesale.
+  // Channel-pruned weights: 14 of 17 rows of B zeroed. The packed nt kernel
+  // multiplies them like any other row; their outputs must come out as
+  // exact zeros, and the surviving columns must match the naive product.
   Rng rng(0xDEAD);
   const std::int64_t m = 9, n = 17, k = 33;
   std::vector<float> a = random_matrix(m, k, rng, 0.0f);
@@ -179,26 +178,16 @@ TEST(Gemm, FullyMaskedBRowsAreSkippedButCorrect) {
   prune_b_rows(b, Variant::kNT, n, k);
   std::vector<float> c(static_cast<std::size_t>(m * n), -7.0f);
   gemm_nt(m, n, k, a.data(), b.data(), c.data(), {.accumulate = false});
+  const std::vector<float> want =
+      naive(a, b, Variant::kNT, m, n, k, c, /*accumulate=*/false);
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      if (j % 5 != 4) EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], 0.0f);
-    }
-  }
-  // Disabling the scan (activation-operand mode) routes onto the packed
-  // register-tiled kernel instead of the skipping dot core; the two must
-  // agree numerically (different summation orders, so not bitwise), and
-  // fully zero B rows must still produce exact zeros.
-  std::vector<float> c2(static_cast<std::size_t>(m * n), -7.0f);
-  gemm_nt(m, n, k, a.data(), b.data(), c2.data(),
-          {.accumulate = false, .skip_zero_b_rows = false});
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float got = c2[static_cast<std::size_t>(i * n + j)];
-      const float want = c[static_cast<std::size_t>(i * n + j)];
+      const float got = c[static_cast<std::size_t>(i * n + j)];
+      const float w = want[static_cast<std::size_t>(i * n + j)];
       if (j % 5 != 4) {
         EXPECT_EQ(got, 0.0f);
       } else {
-        EXPECT_NEAR(got, want, 1e-4f * std::max(1.0f, std::fabs(want)));
+        EXPECT_NEAR(got, w, 1e-4f * std::max(1.0f, std::fabs(w)));
       }
     }
   }

@@ -294,8 +294,7 @@ TEST(Scheduler, TileParallelConvMatchesSerialBitwise) {
   const Tensor w = Tensor::randn({kCh, ckk}, rng, 0.05f);
   const Tensor g = Tensor::randn({kCh, kH, kW}, rng);
 
-  ConvKernelOpts serial;
-  serial.weight_zero_fraction = 0.0f;  // force the packed path
+  const ConvKernelOpts serial;
   ConvKernelOpts tiled = serial;
   tiled.parallel_tiles = true;
   PackedWeights packed;
@@ -366,13 +365,12 @@ TEST(Scheduler, ConcurrentTileParallelConvsStageIndependently) {
       job.y_ref = Tensor({job.out_ch, oh, ow});
       conv2d_forward_plane(job.x.data(), job.c_in, job.h, job.w, job.geom,
                            job.w_mat.data(), job.out_ch, job.y_ref.data(),
-                           nullptr, false, {.weight_zero_fraction = 0.0f});
+                           nullptr, false);
       jobs.push_back(std::move(job));
     }
   }
 
   ConvKernelOpts tiled;
-  tiled.weight_zero_fraction = 0.0f;  // force the packed path
   tiled.parallel_tiles = true;
   for (int round = 0; round < 10; ++round) {
     std::vector<Tensor> ys;

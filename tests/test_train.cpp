@@ -160,8 +160,8 @@ TEST(TrainLoop, DeterministicGivenSeeds) {
 TEST(TrainLoop, WeightsBitwiseIdenticalAcrossLaneCounts) {
   // The ticket pipeline's training path at 1, 2, 4 and 8 scheduler lanes:
   // PGD adversarial steps on a micro-r18, then 90% per-layer magnitude
-  // pruning and a masked finetune, whose convs take the zero-skipping tap
-  // path. Every parameter and BN statistic must come out bitwise the same.
+  // pruning and a masked finetune. Every parameter and BN statistic must
+  // come out bitwise the same.
   // 36 samples in batches of 16 give 16, 16, 4: full and short slot sets.
   const Dataset train = generate_dataset(source_task_spec(), 36, 41);
   StateDict reference;
