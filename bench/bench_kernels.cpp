@@ -438,11 +438,13 @@ BENCHMARK(BM_ShrunkVsMaskedForward)->Arg(0)->Arg(1);
 
 // Serving-path throughput on a micro-r18 ticket. Arg 0 is the execution
 // mode: 0 = eager Module::forward, 1 = compiled engine (fp32 kernels),
-// 2 = compiled engine with native int8 execution (s8 weights, u8 offset
-// activations, int32 accumulation, fused requant). Arg 1 is the element
-// sparsity percentage (90 -> every conv packs as CSR taps; 0 -> dense
-// implicit-GEMM panels, the shape where int8 shows its kernel speedup).
-// items_per_second of {2, s} over {1, s} is the end-to-end int8 win.
+// 2 = compiled engine with native int8 execution (s8 weights, int32
+// accumulation, fused requant). Arg 1 is the element sparsity percentage:
+// 90/95/98 pack the pruned convs as CSR and run the sparse-weight x
+// dense-activation forward over batch-innermost staged samples; 0 packs
+// dense implicit-GEMM panels, the shape where int8 shows its kernel
+// speedup. items_per_second of {2, s} over {1, s} is the end-to-end int8
+// win.
 void BM_EngineThroughput(benchmark::State& state) {
   const auto mode = state.range(0);
   const float sparsity = static_cast<float>(state.range(1)) / 100.0f;
@@ -473,6 +475,9 @@ BENCHMARK(BM_EngineThroughput)
     ->Args({0, 90})
     ->Args({1, 90})
     ->Args({2, 90})
+    ->Args({1, 95})
+    ->Args({1, 98})
+    ->Args({2, 98})
     ->Args({1, 0})
     ->Args({2, 0});
 

@@ -25,27 +25,6 @@ std::int64_t div_round_up(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
-/// Output positions whose input tap at kernel offset `kpos` stays in
-/// bounds: the half-open range [o0, o1) (empty => o0 == o1). Resolves each
-/// CSR nonzero's valid output window at compile time.
-struct TapWindow {
-  std::int64_t o0 = 0, o1 = 0;
-};
-
-TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,
-                     std::int64_t kpos, std::int64_t stride,
-                     std::int64_t pad) {
-  const std::int64_t lo = pad - kpos;
-  // hi < 0 means no output position reads in bounds; guard it before the
-  // division, which truncates toward zero and would yield o1 == 1.
-  const std::int64_t hi = in_extent - 1 + pad - kpos;
-  TapWindow win;
-  win.o0 = lo > 0 ? (lo + stride - 1) / stride : 0;
-  win.o1 = hi < 0 ? 0 : std::min(out_extent, hi / stride + 1);
-  if (win.o1 < win.o0) win.o1 = win.o0;
-  return win;
-}
-
 std::string base_name(const std::string& param_name) {
   const std::string suffix = ".weight";
   if (param_name.size() > suffix.size() &&
@@ -172,11 +151,11 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     // True int8 execution: pack the sidecar into the quantized kernel
     // layer's executable operands.
     if (options.int8_native) {
-      if constexpr (requires { p.taps; }) {
+      if constexpr (requires { p.stage_offsets; }) {
         // Convs execute natively in every format: dense and channel-compact
         // through the quantized implicit-GEMM (quad panels + offset
-        // corrections + per-packed-row scales), CSR through the integer tap
-        // path, which consumes qvalues/qscales directly.
+        // corrections + per-packed-row scales), CSR through the integer
+        // sparse forward, which consumes qvalues/qscales directly.
         p.int8_exec = true;
         if (format != PackedFormat::kCsr) {
           const std::int64_t exec_rows =
@@ -282,40 +261,12 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
     plans.back().prepacked_bytes = p.prepacked.bytes();
   }
   if (p.format == PackedFormat::kCsr) {
-    // Decode each nonzero's CSR column (= in_ch * k^2 + ki * k + kj, the
-    // Conv2d weight layout) into a fully resolved implicit-conv tap: base
-    // input offset plus the output range whose input taps stay in bounds.
-    const std::int64_t k2 = p.geom.kernel * p.geom.kernel;
-    const std::int64_t stride = p.geom.stride, pad = p.geom.padding;
-    p.taps.reserve(p.csr.values.size());
-    for (std::size_t t = 0; t < p.csr.values.size(); ++t) {
-      const std::int64_t col = p.csr.col_idx[t];
-      const std::int64_t cin = col / k2;
-      const std::int64_t ki = (col % k2) / p.geom.kernel;
-      const std::int64_t kj = col % p.geom.kernel;
-      const TapWindow wi = tap_window(p.out_h, in_h, ki, stride, pad);
-      const TapWindow wj = tap_window(p.out_w, in_w, kj, stride, pad);
-      const std::int64_t oi0 = wi.o0, oj0 = wj.o0;
-      PackedConv::SparseTap tap;
-      tap.x_start = static_cast<std::int32_t>(
-          cin * in_h * in_w + (oi0 * stride - pad + ki) * in_w +
-          oj0 * stride - pad + kj);
-      tap.y_start = static_cast<std::int32_t>(oi0 * p.out_w + oj0);
-      tap.rows = static_cast<std::int32_t>(wi.o1 - wi.o0);
-      tap.cols = static_cast<std::int32_t>(wj.o1 - wj.o0);
-      if (stride == 1 && tap.cols == p.out_w && in_w == p.out_w) {
-        // Full-width window over equal-width planes: the rows are contiguous
-        // in both input and output, so fold them into one long axpy.
-        tap.cols = tap.rows * tap.cols;
-        tap.rows = tap.rows > 0 ? 1 : 0;
-      }
-      p.taps.push_back(tap);
-    }
+    p.stage_offsets = csr_stage_offsets(p.csr.col_idx, in_h, in_w, p.geom);
   }
   if (p.int8_exec) {
     // Native layers execute the integer encoding; the dequantized floats
-    // are dead weight once the taps are resolved — drop
-    // them, so int8 plans are genuinely smaller resident, not just on wire.
+    // are dead weight — drop them, so int8 plans are genuinely smaller
+    // resident, not just on wire.
     if (p.format == PackedFormat::kCsr) {
       std::vector<float>().swap(p.csr.values);
     } else {
@@ -349,15 +300,18 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
 
 /// Tracks the sizing maxima a Workspace needs. The implicit-GEMM conv path
 /// gathers its panels into fixed-size kernel-layer scratch, so no im2col
-/// extent is planned anymore — only activation planes and the
-/// channel-compact epilogue buffer.
+/// extent is planned anymore — only activation planes, the
+/// channel-compact epilogue buffer and the CSR forward's scratch.
 struct ScratchExtents {
-  std::int64_t plane = 0, tmp = 0, ohw = 0;
+  std::int64_t plane = 0, tmp = 0, csr = 0;
 
   void cover(const PackedConv& c) {
     plane = std::max({plane, c.in_floats(), c.out_floats()});
     tmp = std::max(tmp, c.out_floats());
-    ohw = std::max(ohw, c.out_h * c.out_w);
+    if (c.format == PackedFormat::kCsr) {
+      csr = std::max(csr, csr_scratch_elems(c.in_ch, c.in_h, c.in_w, c.geom,
+                                            c.int8_exec));
+    }
   }
 };
 
@@ -461,7 +415,7 @@ CompiledTicket Engine::compile(const ResNet& model,
                            static_cast<std::int64_t>(t.feature_dim_));
   t.max_plane_floats_ = extents.plane;
   t.tmp_floats_ = extents.tmp;
-  t.max_ohw_ = extents.ohw;
+  t.csr_scratch_elems_ = extents.csr;
   t.int8_native_ = options.int8_weights && options.int8_native;
   return t;
 }

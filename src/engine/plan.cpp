@@ -78,7 +78,11 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
 Workspace::Workspace(const CompiledTicket& plan, int max_batch)
     : max_batch_(std::max(1, max_batch)) {
   const std::int64_t act = plan.max_plane_floats() * max_batch_;
-  arena_.assign(static_cast<std::size_t>(3 * act + plan.tmp_floats()), 0.0f);
+  // tmp() also holds fp32 CSR layers' scratch, acc() int8 ones' (below): a
+  // layer uses one or the other.
+  const std::int64_t tmp = std::max(
+      plan.tmp_floats(), plan.int8_native() ? 0 : plan.csr_scratch_elems());
+  arena_.assign(static_cast<std::size_t>(3 * act + tmp), 0.0f);
   act_[0] = arena_.data();
   act_[1] = arena_.data() + act;
   act_[2] = arena_.data() + 2 * act;
@@ -90,10 +94,10 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
                                          (plan.max_plane_floats() + 4)),
                 0);
     // int32 accumulator: the per-plane conv accumulation (<= the largest
-    // activation plane), the CSR tap path's whole-batch row plane, and the
-    // head's (n, num_classes) logits block all drain through it.
+    // activation plane) and the head's (n, num_classes) logits block both
+    // drain through it.
     const std::int64_t acc = std::max(
-        {plan.max_plane_floats(), max_batch_ * plan.max_ohw(),
+        {plan.max_plane_floats(), plan.csr_scratch_elems(),
          max_batch_ * static_cast<std::int64_t>(plan.num_classes())});
     acc_.assign(static_cast<std::size_t>(acc), 0);
   }
@@ -105,62 +109,14 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
                             Workspace& ws, float in_amax,
                             float* out_amax) const {
   const std::int64_t ohw = out_h * out_w;
-  const std::int64_t stride_w = geom.stride * in_w;
   if (int8_exec) {
     run_s8(in, out, n, ws, in_amax, out_amax);
     return;
   }
   if (format == PackedFormat::kCsr) {
-    // Implicit sparse conv: slide each nonzero tap over the input. All index
-    // arithmetic was resolved into the tap at compile time; the batch loop
-    // sits INSIDE the tap loop so per-nonzero setup amortizes over the batch
-    // and the weight stream stays hot. Outputs start at the folded bias, so
-    // no separate add pass is needed.
-    const std::int64_t in_f = in_floats(), out_f = out_floats();
-    for (std::int64_t r = 0; r < out_ch; ++r) {
-      float* yrow = out + r * ohw;
-      const float b = bias[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < n; ++i) {
-        float* yr = yrow + i * out_f;
-        for (std::int64_t j = 0; j < ohw; ++j) yr[j] = b;
-      }
-      const std::int32_t begin = csr.row_ptr[static_cast<std::size_t>(r)];
-      const std::int32_t end = csr.row_ptr[static_cast<std::size_t>(r) + 1];
-      for (std::int32_t t = begin; t < end; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        const float v = csr.values[ti];
-        const SparseTap& tap = taps[ti];
-        const float* __restrict xr = in + tap.x_start;
-        float* __restrict yr = yrow + tap.y_start;
-        for (std::int64_t i = 0; i < n; ++i, xr += in_f, yr += out_f) {
-          const float* __restrict xw = xr;
-          float* __restrict yw = yr;
-          if (geom.stride == 1) {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += in_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * xw[oj];
-              }
-            }
-          } else {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += stride_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * xw[oj * geom.stride];
-              }
-            }
-          }
-        }
-      }
-      if (relu) {
-        for (std::int64_t i = 0; i < n; ++i) {
-          float* yr = yrow + i * out_f;
-          for (std::int64_t j = 0; j < ohw; ++j) {
-            yr[j] = std::max(yr[j], 0.0f);
-          }
-        }
-      }
-    }
+    conv2d_forward_csr(in, n, in_ch, in_h, in_w, geom, csr.row_ptr.data(),
+                       stage_offsets.data(), csr.values.data(), out_ch,
+                       bias.data(), relu, ws.tmp(), out);
     return;
   }
   // Dense-style formats run the fused implicit-GEMM forward: virtual im2col
@@ -172,42 +128,35 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
   for (std::int64_t i = 0; i < n; ++i) {
     const float* xi = in + i * in_floats();
     float* yi = out + i * out_floats();
-    switch (format) {
-      case PackedFormat::kDense:
-        conv2d_forward_plane(xi, in_ch, in_h, in_w, geom, weight.data(),
-                             out_ch, yi, bias.data(), relu, kopts);
-        break;
-      case PackedFormat::kCsr:
-        break;  // handled above
-      case PackedFormat::kChannelCompact: {
-        const auto kr = static_cast<std::int64_t>(kept.size());
-        if (kr > 0) {
-          conv2d_forward_plane(xi, in_ch, in_h, in_w, geom, weight.data(), kr,
-                               ws.tmp(), /*bias=*/nullptr, /*relu=*/false,
-                               kopts);
-        }
-        // Scatter surviving rows; pruned channels carry only their folded
-        // bias (a zero conv row through BN is a per-channel constant).
-        std::int64_t ki = 0;
-        for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-          const float b = bias[static_cast<std::size_t>(oc)];
-          float* yrow = yi + oc * ohw;
-          if (ki < kr && kept[static_cast<std::size_t>(ki)] == oc) {
-            const float* trow = ws.tmp() + ki * ohw;
-            if (relu) {
-              for (std::int64_t j = 0; j < ohw; ++j) {
-                yrow[j] = std::max(trow[j] + b, 0.0f);
-              }
-            } else {
-              for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = trow[j] + b;
-            }
-            ++ki;
-          } else {
-            const float v = relu ? std::max(b, 0.0f) : b;
-            for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
+    if (format == PackedFormat::kDense) {
+      conv2d_forward_plane(xi, in_ch, in_h, in_w, geom, weight.data(), out_ch,
+                           yi, bias.data(), relu, kopts);
+      continue;
+    }
+    const auto kr = static_cast<std::int64_t>(kept.size());
+    if (kr > 0) {
+      conv2d_forward_plane(xi, in_ch, in_h, in_w, geom, weight.data(), kr,
+                           ws.tmp(), /*bias=*/nullptr, /*relu=*/false, kopts);
+    }
+    // Scatter surviving rows; pruned channels carry only their folded bias
+    // (a zero conv row through BN is a per-channel constant).
+    std::int64_t ki = 0;
+    for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+      const float b = bias[static_cast<std::size_t>(oc)];
+      float* yrow = yi + oc * ohw;
+      if (ki < kr && kept[static_cast<std::size_t>(ki)] == oc) {
+        const float* trow = ws.tmp() + ki * ohw;
+        if (relu) {
+          for (std::int64_t j = 0; j < ohw; ++j) {
+            yrow[j] = std::max(trow[j] + b, 0.0f);
           }
+        } else {
+          for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = trow[j] + b;
         }
-        break;
+        ++ki;
+      } else {
+        const float v = relu ? std::max(b, 0.0f) : b;
+        for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
       }
     }
   }
@@ -221,88 +170,14 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   const float sx = act_scale_for(in_amax);
   if (out_amax != nullptr) *out_amax = 0.0f;
   if (format == PackedFormat::kCsr) {
-    // Integer tap path over SIGNED s8 activations: tap windows give border
-    // pixels per-pixel tap subsets, so the u8 offset trick's per-row
-    // constant correction does not apply here — signed input needs none.
-    // Structure mirrors the float tap path (batch inside tap, fixed
-    // accumulation order), with one (n, ohw) int32 plane per output row and
-    // the requant fused into the row drain. Bitwise deterministic: integer
-    // accumulation, one float expression per output.
+    // Signed s8 activations: the staged border reads as an exact zero.
     std::int8_t* qx = reinterpret_cast<std::int8_t*>(ws.qin());
     quantize_s8(in, n * in_f, sx, qx);
-    std::int32_t* acc = ws.acc();
-    const std::int64_t stride_w = geom.stride * in_w;
-    float amax = out_amax != nullptr ? *out_amax : 0.0f;
-    for (std::int64_t r = 0; r < out_ch; ++r) {
-      std::memset(acc, 0,
-                  static_cast<std::size_t>(n * ohw) * sizeof(std::int32_t));
-      const std::int32_t begin = csr.row_ptr[static_cast<std::size_t>(r)];
-      const std::int32_t end = csr.row_ptr[static_cast<std::size_t>(r) + 1];
-      for (std::int32_t t = begin; t < end; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        const std::int32_t v = qvalues[ti];
-        const SparseTap& tap = taps[ti];
-        const std::int8_t* __restrict xr = qx + tap.x_start;
-        std::int32_t* __restrict yr = acc + tap.y_start;
-        for (std::int64_t i = 0; i < n; ++i, xr += in_f, yr += ohw) {
-          const std::int8_t* __restrict xw = xr;
-          std::int32_t* __restrict yw = yr;
-          if (geom.stride == 1 && tap.cols >= 16) {
-            // Wide rows amortize the vectorized axpy's call overhead;
-            // narrow-plane taps (2-8 columns) stay in the scalar loop below.
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += in_w, yw += out_w) {
-              axpy_s8_s32(xw, v, yw, tap.cols);
-            }
-          } else if (geom.stride == 1) {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += in_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * static_cast<std::int32_t>(xw[oj]);
-              }
-            }
-          } else {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += stride_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * static_cast<std::int32_t>(xw[oj * geom.stride]);
-              }
-            }
-          }
-        }
-      }
-      // Row drain. Wide planes go through the shared vectorized requant
-      // epilogue (rows == 1 per call: the per-row fields are all channel
-      // r's, no offset correction — the tap path runs signed activations);
-      // tiny planes keep a scalar loop, which beats the epilogue's per-call
-      // setup at 4-16 outputs.
-      if (ohw >= 32) {
-        S8Epilogue ep;
-        ep.scales = qscales.data() + r;
-        ep.act_scale = sx;
-        ep.bias = bias.data() + r;
-        ep.relu = relu;
-        ep.amax = &amax;
-        for (std::int64_t i = 0; i < n; ++i) {
-          requant_rows(acc + i * ohw, ohw, 1, ohw, ep,
-                       out + i * out_f + r * ohw, ohw);
-        }
-      } else {
-        const float s = sx * qscales[static_cast<std::size_t>(r)];
-        const float b = bias[static_cast<std::size_t>(r)];
-        for (std::int64_t i = 0; i < n; ++i) {
-          const std::int32_t* arow = acc + i * ohw;
-          float* yrow = out + i * out_f + r * ohw;
-          for (std::int64_t j = 0; j < ohw; ++j) {
-            float y = static_cast<float>(arow[j]) * s + b;
-            if (relu) y = std::max(y, 0.0f);
-            yrow[j] = y;
-            amax = std::max(amax, std::fabs(y));
-          }
-        }
-      }
-    }
-    if (out_amax != nullptr) *out_amax = amax;
+    const S8Epilogue ep{.scales = qscales.data(), .act_scale = sx,
+                        .bias = bias.data(), .relu = relu, .amax = out_amax};
+    conv2d_forward_csr_s8(qx, n, in_ch, in_h, in_w, geom, csr.row_ptr.data(),
+                          stage_offsets.data(), qvalues.data(), out_ch, ep,
+                          ws.acc(), out);
     return;
   }
   // Dense / channel-compact: quantized implicit GEMM over the offset-u8

@@ -93,11 +93,11 @@ struct LayerPlan {
 class CompiledTicket;
 
 /// Pre-allocated scratch for one in-flight prediction: three rotating
-/// full-batch activation buffers plus the channel-compact epilogue scratch,
-/// all carved from one contiguous arena sized at construction. The conv
-/// kernels gather their packed panels into fixed-size thread-local buffers
-/// (no per-layer im2col extent to plan), so steady-state predict() calls
-/// perform no heap allocation.
+/// full-batch activation buffers plus tmp(), the channel-compact epilogue
+/// and fp32 CSR forward scratch, all carved from one contiguous arena sized
+/// at construction. The dense conv kernels gather their packed panels into
+/// fixed-size thread-local buffers (no per-layer im2col extent to plan), so
+/// steady-state predict() calls perform no heap allocation.
 class Workspace {
  public:
   Workspace(const CompiledTicket& plan, int max_batch);
@@ -109,11 +109,11 @@ class Workspace {
   /// int8-native plans only (empty otherwise): the quantized-activation
   /// staging buffer — each layer quantizes its float input batch here in the
   /// flavor its kernel consumes (offset-u8 for the implicit-GEMM and head
-  /// paths, signed s8 for the CSR tap path).
+  /// paths, signed s8 for the CSR path).
   std::uint8_t* qin() { return qin_.data(); }
   /// int8-native plans only: the int32 accumulation plane the fused requant
-  /// epilogues drain (sized for the largest conv plane, the CSR batch
-  /// accumulator, and the head's logits block).
+  /// epilogues drain (sized for the largest conv plane and the head's
+  /// logits block), and the int8 CSR forward's scratch.
   std::int32_t* acc() { return acc_.data(); }
 
  private:
@@ -144,21 +144,9 @@ struct PackedConv {
   PackedWeights prepacked;
   std::vector<std::int32_t> kept;  ///< kChannelCompact: surviving channels
   CsrMatrix csr;                   ///< kCsr
-  /// kCsr implicit-conv tap, one per nonzero: everything the inner loop
-  /// needs, resolved at compile time from the frozen geometry. The sparse
-  /// conv path slides each nonzero directly over the input — no im2col
-  /// materialization and no per-nonzero index arithmetic at runtime — so
-  /// cost is O(nnz * out_h * out_w) flat.
-  struct SparseTap {
-    std::int32_t x_start;       ///< flat offset of the first in-bounds input
-    std::int32_t y_start;       ///< flat offset into the output plane
-    /// Extent of the valid output window. Full-width stride-1 windows are
-    /// collapsed at compile time into rows == 1 with cols == rows * width —
-    /// input and output are both contiguous there, so the whole window runs
-    /// as one long vectorizable axpy.
-    std::int32_t rows, cols;
-  };
-  std::vector<SparseTap> taps;  ///< parallel to csr.values
+  /// kCsr: each nonzero's staged-input offset (csr_stage_offsets, resolved
+  /// at compile time from the frozen geometry), parallel to csr.values.
+  std::vector<std::int32_t> stage_offsets;
   std::vector<float> bias;         ///< per out_ch, from BN folding
 
   // Shippable int8 sidecar (populated when CompileOptions::int8_weights):
@@ -169,7 +157,7 @@ struct PackedConv {
   // True int8 execution (CompileOptions::int8_native): the sidecar packed
   // into executable operands at compile time. Dense/channel-compact layers
   // carry quad panels + offset corrections (qpacked) and the per-packed-row
-  // scale vector the requant epilogue indexes; the CSR tap path executes
+  // scale vector the requant epilogue indexes; the CSR path executes
   // qvalues + qscales directly over signed-s8 activations. Native layers
   // drop the dequantized float weights — the integers ARE the executable.
   bool int8_exec = false;
@@ -195,7 +183,7 @@ struct PackedConv {
  private:
   /// The int8-native executor behind run(): quantizes the input batch into
   /// the workspace staging buffer and dispatches to the quantized
-  /// implicit-GEMM or the integer tap path.
+  /// implicit-GEMM or the integer sparse forward.
   void run_s8(const float* in, float* out, std::int64_t n, Workspace& ws,
               float in_amax, float* out_amax) const;
 };
@@ -269,8 +257,8 @@ class CompiledTicket {
   std::int64_t max_plane_floats() const { return max_plane_floats_; }
   /// Largest per-sample conv output scratch (channel-compact epilogue).
   std::int64_t tmp_floats() const { return tmp_floats_; }
-  /// Largest conv output spatial plane (Workspace int8 accumulator sizing).
-  std::int64_t max_ohw() const { return max_ohw_; }
+  /// Largest CSR conv scratch (csr_scratch_elems; 0 when no layer is CSR).
+  std::int64_t csr_scratch_elems() const { return csr_scratch_elems_; }
   /// True when this plan executes the int8 kernel layer natively (the
   /// Workspace then carves the quantized-activation and int32 arenas).
   bool int8_native() const { return int8_native_; }
@@ -285,7 +273,8 @@ class CompiledTicket {
   std::int64_t height_ = 0, width_ = 0, in_channels_ = 0;
   std::int64_t feat_h_ = 0, feat_w_ = 0;  ///< spatial extent entering GAP
   int num_classes_ = 0, feature_dim_ = 0;
-  std::int64_t max_plane_floats_ = 0, tmp_floats_ = 0, max_ohw_ = 0;
+  std::int64_t max_plane_floats_ = 0, tmp_floats_ = 0;
+  std::int64_t csr_scratch_elems_ = 0;
   bool int8_native_ = false;
   std::vector<LayerPlan> layers_;
 };

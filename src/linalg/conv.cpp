@@ -10,6 +10,10 @@
 #include "linalg/microkernel.hpp"
 #include "linalg/microkernel_s8.hpp"
 
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
+
 namespace rt {
 
 namespace {
@@ -912,6 +916,233 @@ void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
   wgrad_packed(gout, x, c_in, h, w, g, out_ch, dw, opts);
+}
+
+// ---- sparse (CSR) forward ---------------------------------------------------
+
+namespace {
+
+// Most samples per staged block; the staged elements a block aims to stay
+// within (64 KiB of fp32: wide planes stage fewer samples); and the (pixel,
+// sample) lanes one register block of accumulators covers.
+constexpr std::int64_t kCsrBlock = 16;
+constexpr std::int64_t kCsrStageElems = 16384;
+constexpr std::int64_t kCsrLanes = 64;
+
+/// Staged-input geometry. Each stride phase (a, b) of the zero-bordered
+/// input is staged as its own hq x wq plane of padded pixels (yq * s + a,
+/// xq * s + b); only min(s, k) phases per axis are ever read. Tap (ki, kj)
+/// reads phase (ki % s, kj % s) shifted by (ki / s, kj / s), so output pixel
+/// (oy, ox), at position oy * wq + ox, reads every tap at its own position
+/// plus a per-tap constant, strided or not.
+struct CsrStage {
+  std::int64_t phases, hq, wq, oh, ow;
+  std::int64_t qn;     ///< positions from the first output pixel to the last
+  std::int64_t units;  ///< staged positions per sample
+  std::int64_t block;  ///< samples per staged block
+
+  CsrStage(std::int64_t c_in, std::int64_t h, std::int64_t w,
+           const ConvGeometry& g)
+      : phases(std::min(g.stride, g.kernel)),
+        hq((h + 2 * g.padding + g.stride - 1) / g.stride),
+        wq((w + 2 * g.padding + g.stride - 1) / g.stride),
+        oh(g.out_extent(h)),
+        ow(g.out_extent(w)),
+        qn((oh - 1) * wq + ow),
+        units(c_in * phases * phases * hq * wq),
+        block(std::clamp(kCsrStageElems / units, std::int64_t{1}, kCsrBlock)) {}
+
+  /// One output row's accumulators at nb samples, in whole lane blocks.
+  std::int64_t row_lanes(std::int64_t nb) const {
+    return (qn * nb + kCsrLanes - 1) / kCsrLanes * kCsrLanes;
+  }
+};
+
+/// Stages nb samples (sample i at x + i * x_stride) batch-innermost: the nb
+/// values of staged position u sit at dst[u * nb, u * nb + nb), positions
+/// ordered (channel, phase row, phase column, yq, xq). Zeroing the block
+/// first leaves the border and the read-ahead tail at zero. One helper for
+/// both element types.
+template <typename T>
+void stage_batch_inner(const T* x, std::int64_t nb, std::int64_t x_stride,
+                       std::int64_t c_in, std::int64_t h, std::int64_t w,
+                       const ConvGeometry& g, const CsrStage& st, T* dst) {
+  const std::int64_t s = g.stride, pad = g.padding, row = st.wq * nb;
+  std::fill_n(dst, nb * st.units + kCsrLanes, T{0});
+  for (std::int64_t c = 0; c < c_in; ++c) {
+    for (std::int64_t a = 0; a < st.phases; ++a) {
+      for (std::int64_t b = 0; b < st.phases; ++b, dst += st.hq * row) {
+        // Phase columns [x0, x1) hold image pixels.
+        const std::int64_t x0 = std::min(st.wq, (pad - b + s - 1) / s);
+        const std::int64_t x1 = std::min(st.wq, (w - 1 + pad - b + s) / s);
+        for (std::int64_t yq = 0; yq < st.hq; ++yq) {
+          const std::int64_t iy = yq * s + a - pad;
+          if (iy < 0 || iy >= h) continue;
+          const T* src = x + (c * h + iy) * w + x0 * s + b - pad;
+          T* d = dst + yq * row + x0 * nb;
+          if (nb == 1 && s == 1) {
+            std::memcpy(d, src, static_cast<std::size_t>(x1 - x0) * sizeof(T));
+            continue;
+          }
+          for (std::int64_t j = 0; j < x1 - x0; ++j, d += nb) {
+            for (std::int64_t i = 0; i < nb; ++i) {
+              d[i] = src[i * x_stride + j * s];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+using F32x16 __attribute__((vector_size(16 * sizeof(float)))) = float;
+using S32x16 __attribute__((vector_size(16 * sizeof(std::int32_t)))) =
+    std::int32_t;
+
+/// Loads 16 lanes, sign-extending s8 ones; by reference, since returning a
+/// 64-byte vector changes the ABI of pre-AVX-512 builds. GCC 12 lowers the
+/// generic s8 -> s32 vector conversion to per-byte scalar code, so AVX-512
+/// builds use the intrinsic (its maskz form: the plain one trips
+/// -Wmaybe-uninitialized, GCC PR105593).
+inline void load16(const float* p, F32x16& v) {
+  std::memcpy(&v, p, sizeof(v));
+}
+
+inline void load16(const std::int8_t* p, S32x16& v) {
+#ifdef __AVX512F__
+  v = reinterpret_cast<S32x16>(_mm512_maskz_cvtepi8_epi32(
+      __mmask16{0xFFFF}, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
+#else
+  for (int l = 0; l < 16; ++l) v[l] = p[l];
+#endif
+}
+
+/// nv * 16 lanes of one output row, stored to out: `init`, then one
+/// broadcast multiply-add per nonzero in [t0, t1), in CSR order, against the
+/// staged lanes at that nonzero's offset.
+template <int nv, typename T, typename A>
+RT_HOT void csr_lane_block(const T* base, std::int64_t nb,
+                           const std::int32_t* offsets, const T* values,
+                           std::int32_t t0, std::int32_t t1, A init, A* out) {
+  using V = std::conditional_t<std::is_same_v<A, float>, F32x16, S32x16>;
+  V acc[nv];
+  V x{};
+  for (int v = 0; v < nv; ++v) {
+    for (int l = 0; l < 16; ++l) acc[v][l] = init;
+  }
+  for (std::int32_t t = t0; t < t1; ++t) {
+    const T* src = base + offsets[t] * nb;
+    const A wv = values[t];
+    for (int v = 0; v < nv; ++v) {
+      load16(src + 16 * v, x);
+      acc[v] += wv * x;
+    }
+  }
+  std::memcpy(out, acc, sizeof(acc));
+}
+
+/// The forward both element types run. Per staged block of samples, each
+/// output row sweeps its qn * nb contiguous (position, sample) lanes in
+/// register blocks starting at init[r] (0 without init), then stores each
+/// sample's output pixels as emit(r, accumulator); the lanes of positions
+/// between output rows are dropped.
+template <typename T, typename A, typename Emit>
+RT_HOT void csr_forward(const T* x, std::int64_t n, std::int64_t c_in,
+                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                        const std::int32_t* row_ptr,
+                        const std::int32_t* offsets, const T* values,
+                        std::int64_t out_ch, const A* init, A* scratch,
+                        float* y, Emit emit) {
+  using Block = void (*)(const T*, std::int64_t, const std::int32_t*,
+                         const T*, std::int32_t, std::int32_t, A, A*);
+  static constexpr Block kBlocks[] = {
+      csr_lane_block<1, T, A>, csr_lane_block<2, T, A>,
+      csr_lane_block<3, T, A>, csr_lane_block<4, T, A>};
+  const CsrStage st(c_in, h, w, g);
+  const std::int64_t in_f = c_in * h * w, ohw = st.oh * st.ow;
+  for (std::int64_t i0 = 0; i0 < n; i0 += st.block) {
+    const std::int64_t nb = std::min(st.block, n - i0), lanes = st.qn * nb;
+    T* stage = reinterpret_cast<T*>(scratch + st.row_lanes(nb));
+    stage_batch_inner(x + i0 * in_f, nb, in_f, c_in, h, w, g, st, stage);
+    for (std::int64_t r = 0; r < out_ch; ++r) {
+      for (std::int64_t l0 = 0; l0 < lanes; l0 += kCsrLanes) {
+        const std::int64_t nv = (std::min(kCsrLanes, lanes - l0) + 15) / 16;
+        kBlocks[nv - 1](stage + l0, nb, offsets, values, row_ptr[r],
+                        row_ptr[r + 1], init ? init[r] : A{0}, scratch + l0);
+      }
+      for (std::int64_t i = 0; i < nb; ++i) {
+        float* dst = y + ((i0 + i) * out_ch + r) * ohw;
+        for (std::int64_t oy = 0; oy < st.oh; ++oy, dst += st.ow) {
+          const A* src = scratch + oy * st.wq * nb + i;
+          for (std::int64_t ox = 0; ox < st.ow; ++ox) {
+            dst[ox] = emit(r, src[ox * nb]);
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::int64_t csr_scratch_elems(std::int64_t c_in, std::int64_t h,
+                               std::int64_t w, const ConvGeometry& g,
+                               bool s8) {
+  const CsrStage st(c_in, h, w, g);
+  const std::int64_t staged = st.block * st.units + kCsrLanes;
+  return st.row_lanes(st.block) + (s8 ? (staged + 3) / 4 : staged);
+}
+
+std::vector<std::int32_t> csr_stage_offsets(
+    const std::vector<std::int32_t>& col_idx, std::int64_t h, std::int64_t w,
+    const ConvGeometry& g) {
+  const CsrStage st(1, h, w, g);
+  const std::int64_t k = g.kernel, s = g.stride;
+  std::vector<std::int32_t> offsets;
+  offsets.reserve(col_idx.size());
+  for (const std::int32_t col : col_idx) {
+    const std::int64_t c = col / (k * k), ki = col % (k * k) / k, kj = col % k;
+    const std::int64_t phase = (c * st.phases + ki % s) * st.phases + kj % s;
+    offsets.push_back(static_cast<std::int32_t>(
+        phase * st.hq * st.wq + ki / s * st.wq + kj / s));
+  }
+  return offsets;
+}
+
+RT_HOT void conv2d_forward_csr(const float* x, std::int64_t n,
+                               std::int64_t c_in, std::int64_t h,
+                               std::int64_t w, const ConvGeometry& g,
+                               const std::int32_t* row_ptr,
+                               const std::int32_t* offsets,
+                               const float* values, std::int64_t out_ch,
+                               const float* bias, bool relu, float* scratch,
+                               float* y) {
+  csr_forward(x, n, c_in, h, w, g, row_ptr, offsets, values, out_ch, bias,
+              scratch, y, [relu](std::int64_t, float v) {
+                return relu ? std::max(v, 0.0f) : v;
+              });
+}
+
+RT_HOT void conv2d_forward_csr_s8(const std::int8_t* xq, std::int64_t n,
+                                  std::int64_t c_in, std::int64_t h,
+                                  std::int64_t w, const ConvGeometry& g,
+                                  const std::int32_t* row_ptr,
+                                  const std::int32_t* offsets,
+                                  const std::int8_t* values,
+                                  std::int64_t out_ch, const S8Epilogue& ep,
+                                  std::int32_t* scratch, float* y) {
+  csr_forward(xq, n, c_in, h, w, g, row_ptr, offsets, values, out_ch,
+              static_cast<const std::int32_t*>(nullptr), scratch, y,
+              [&ep](std::int64_t r, std::int32_t a) {
+                const float v =
+                    static_cast<float>(a) * (ep.act_scale * ep.scales[r]) +
+                    (ep.bias != nullptr ? ep.bias[r] : 0.0f);
+                return ep.relu ? std::max(v, 0.0f) : v;
+              });
+  if (ep.amax != nullptr) {
+    const std::int64_t count = n * out_ch * g.out_extent(h) * g.out_extent(w);
+    *ep.amax = std::max(*ep.amax, amax_abs(y, count));
+  }
 }
 
 void PackedWeights::pack(const float* weight, std::int64_t out_ch,

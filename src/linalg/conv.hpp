@@ -165,6 +165,41 @@ std::vector<std::int32_t> build_s8_gather_index(std::int64_t c_in,
                                                 std::int64_t h, std::int64_t w,
                                                 const ConvGeometry& g);
 
+/// Sparse-weight x dense-activation conv forward (serving only) over n
+/// (c_in, h, w) planes: y_i = relu?(bias + W * col(x_i)), W in CSR with each
+/// nonzero's column resolved by csr_stage_offsets. Samples are staged
+/// zero-bordered and batch-innermost into `scratch` (csr_scratch_elems), so
+/// each nonzero is one broadcast multiply-add over contiguous (pixel,
+/// sample) lanes. Each output is bias plus the row's nonzeros in CSR order
+/// (an out-of-image tap adds an exact zero), whatever the batch around it.
+void conv2d_forward_csr(const float* x, std::int64_t n, std::int64_t c_in,
+                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                        const std::int32_t* row_ptr,
+                        const std::int32_t* offsets, const float* values,
+                        std::int64_t out_ch, const float* bias, bool relu,
+                        float* scratch, float* y);
+
+/// The int8 form: signed-s8 planes and values, int32 accumulation and the
+/// requant epilogue (fields index output channels; corr is unused).
+void conv2d_forward_csr_s8(const std::int8_t* xq, std::int64_t n,
+                           std::int64_t c_in, std::int64_t h, std::int64_t w,
+                           const ConvGeometry& g, const std::int32_t* row_ptr,
+                           const std::int32_t* offsets,
+                           const std::int8_t* values, std::int64_t out_ch,
+                           const S8Epilogue& ep, std::int32_t* scratch,
+                           float* y);
+
+/// Compile time: the staged-input offset of each CSR column index
+/// (c * k*k + ki * k + kj, the Conv2d weight layout) over h x w planes.
+std::vector<std::int32_t> csr_stage_offsets(
+    const std::vector<std::int32_t>& col_idx, std::int64_t h, std::int64_t w,
+    const ConvGeometry& g);
+
+/// Scratch, in 4-byte elements, of the fp32 (s8 = false) or int8 CSR
+/// forward over (c_in, h, w) planes, at any n.
+std::int64_t csr_scratch_elems(std::int64_t c_in, std::int64_t h,
+                               std::int64_t w, const ConvGeometry& g, bool s8);
+
 /// Input gradient: dx (c_in, h, w) += weight^T applied to gout
 /// (out_ch, OH, OW). Accumulates (callers zero-initialize dx once per batch).
 void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,

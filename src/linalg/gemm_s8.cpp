@@ -143,57 +143,6 @@ RT_HOT void requant_rows(const std::int32_t* acc, std::int64_t lda,
   if (ep.amax) *ep.amax = amax;
 }
 
-RT_HOT void requant_rows_u8(const std::int32_t* acc, std::int64_t lda,
-                            std::int64_t rows, std::int64_t cols,
-                            const S8Epilogue& ep, float out_scale,
-                            std::uint8_t* yq, std::int64_t ldy) {
-  const float inv = out_scale > 0.0f ? 1.0f / out_scale : 0.0f;
-  float amax = ep.amax ? *ep.amax : 0.0f;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int32_t corr = ep.corr ? ep.corr[r] : 0;
-    const float s = ep.act_scale * ep.scales[r];
-    const float b = ep.bias ? ep.bias[r] : 0.0f;
-    const std::int32_t* arow = acc + r * lda;
-    std::uint8_t* yrow = yq + r * ldy;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float v = static_cast<float>(arow[j] - corr) * s + b;
-      if (ep.relu && v < 0.0f) v = 0.0f;
-      yrow[j] = static_cast<std::uint8_t>(quantize_clamp(v, inv) + 128);
-      const float a = std::fabs(v);
-      if (a > amax) amax = a;
-    }
-  }
-  if (ep.amax) *ep.amax = amax;
-}
-
-RT_HOT void axpy_s8_s32(const std::int8_t* x, std::int32_t v, std::int32_t* y,
-                        std::int64_t n) {
-#ifdef RT_S8_AVX512
-  const __m512i vv = _mm512_set1_epi32(v);
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i xi = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m512i yi = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(y + i, _mm512_add_epi32(yi, _mm512_mullo_epi32(xi, vv)));
-  }
-  if (i < n) {
-    const __mmask16 k = static_cast<__mmask16>((1u << (n - i)) - 1u);
-    std::int8_t tail[16] = {0};
-    std::memcpy(tail, x + i, static_cast<std::size_t>(n - i));
-    const __m512i xi = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tail)));
-    const __m512i yi = _mm512_maskz_loadu_epi32(k, y + i);
-    _mm512_mask_storeu_epi32(
-        y + i, k, _mm512_add_epi32(yi, _mm512_mullo_epi32(xi, vv)));
-  }
-#else
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[i] += v * static_cast<std::int32_t>(x[i]);
-  }
-#endif
-}
-
 void PackedS8::pack(const std::int8_t* q, std::int64_t rows,
                     std::int64_t cols) {
   rows_ = rows;
@@ -257,17 +206,6 @@ RT_HOT void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
     // corr/scales/bias index rows; the column slice shifts only the data
     // pointers. requant_rows itself carries the running amax across tiles.
     requant_rows(acc + jc, n, m, nb, e, c + jc, n);
-  });
-}
-
-RT_HOT void gemm_s8_nn_u8(std::int64_t m, std::int64_t n, std::int64_t k,
-                          const PackedS8& a, const std::uint8_t* b,
-                          std::int32_t* acc, float out_scale,
-                          std::uint8_t* cq, const S8Epilogue& ep) {
-  S8Epilogue e = ep;
-  if (!e.corr) e.corr = a.corr();
-  gemm_s8_nn_core(m, n, k, a, b, acc, [&](std::int64_t jc, std::int64_t nb) {
-    requant_rows_u8(acc + jc, n, m, nb, e, out_scale, cq + jc, n);
   });
 }
 

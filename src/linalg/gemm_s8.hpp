@@ -19,7 +19,7 @@
 // Requant epilogue (float multiply, no shift rounding — exact and
 // UBSan-clean): y = (acc - corr) * (s_x * s_w[row]) + bias[row], optional
 // ReLU, optional running amax tracking (feeds the NEXT layer's dynamic
-// activation scale), optional re-quantize to s8 for chained int8 layers.
+// activation scale).
 
 #include <cstdint>
 #include <vector>
@@ -55,9 +55,8 @@ float act_scale_for(float amax);
 void quantize_u8(const float* x, std::int64_t n, float scale,
                  std::uint8_t* q);
 
-/// Quantizes n floats to signed s8 (no offset): the CSR/tap path uses this
-/// flavor because border pixels see per-pixel tap subsets, which would make
-/// a u8 offset correction non-uniform.
+/// Quantizes n floats to signed s8 (no offset): the CSR forward uses this
+/// flavor, so its staged zero border needs no offset correction.
 void quantize_s8(const float* x, std::int64_t n, float scale, std::int8_t* q);
 
 /// Applies the requant epilogue to an int32 accumulator block: for each of
@@ -67,20 +66,6 @@ void quantize_s8(const float* x, std::int64_t n, float scale, std::int8_t* q);
 void requant_rows(const std::int32_t* acc, std::int64_t lda,
                   std::int64_t rows, std::int64_t cols, const S8Epilogue& ep,
                   float* y, std::int64_t ldy);
-
-/// y[i] += v * x[i] over n signed s8 activations — the quantized CSR tap
-/// loop's inner axpy (vectorized where the build allows; exact int32 either
-/// way, so results are bitwise identical across paths).
-void axpy_s8_s32(const std::int8_t* x, std::int32_t v, std::int32_t* y,
-                 std::int64_t n);
-
-/// As requant_rows, but re-quantizes the float result straight to offset-u8
-/// with `out_scale` for a chained int8 consumer (no float round trip through
-/// memory). The float value is still tracked in ep.amax if set.
-void requant_rows_u8(const std::int32_t* acc, std::int64_t lda,
-                     std::int64_t rows, std::int64_t cols,
-                     const S8Epilogue& ep, float out_scale, std::uint8_t* yq,
-                     std::int64_t ldy);
 
 /// Prepacked s8 left-hand operand: quad panels (see linalg/microkernel_s8)
 /// plus the per-row offset correction. Rows are weight output channels.
@@ -117,13 +102,6 @@ class PackedS8 {
 void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
                 const PackedS8& a, const std::uint8_t* b, std::int32_t* acc,
                 float* c, const S8Epilogue& ep);
-
-/// As gemm_s8_nn with the chained-int8 epilogue: C emerges as offset-u8 at
-/// out_scale instead of float.
-void gemm_s8_nn_u8(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const PackedS8& a, const std::uint8_t* b,
-                   std::int32_t* acc, float out_scale, std::uint8_t* cq,
-                   const S8Epilogue& ep);
 
 /// The head shape: C(m,n) float = requant(X_q(m,k) * W_q(n,k)^T). X is
 /// offset-u8 row-major with leading dimension ldx >= round_up4(k) (rows

@@ -31,8 +31,7 @@ CsrMatrix csr_from_dense(std::int64_t rows, std::int64_t cols,
 
 /// Y(m, rows) = X * A^T with X dense (m, cols) row-major: the linear-layer
 /// shape y = x W^T. Cost is O(m * nnz). The engine's CSR convs do not call
-/// it — they run an implicit sparse conv over precompiled taps
-/// (engine/plan.cpp).
+/// it — they run conv2d_forward_csr (linalg/conv.hpp).
 void spmm_csr_rhs_t(const CsrMatrix& a, std::int64_t m, const float* x,
                     float* y, bool accumulate = false);
 

@@ -150,5 +150,43 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
       << "int8 repeat runs must be bitwise deterministic";
 }
 
+TEST(RtHot, CsrRunRowsIsAllocationFreeAfterWarmup) {
+  RT_AUDIT_TEST_GUARD();
+  Rng rng(404);
+  ResNetConfig cfg;
+  cfg.stage_blocks = {1, 1};
+  cfg.stage_channels = {6, 12};
+  cfg.num_classes = 10;
+  cfg.name = "auditcsr";
+  ResNet model(cfg, rng);
+  model.set_training(false);
+  // 20 rows: one full staged block of samples plus a partial one.
+  const Tensor x = Tensor::uniform({20, 3, 8, 8}, rng, 0.0f, 1.0f);
+
+  for (const bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8" : "fp32");
+    CompileOptions options;
+    options.height = 8;
+    options.width = 8;
+    options.force_format = PackedFormat::kCsr;
+    options.int8_weights = int8;
+    Session session(Engine::compile(model, options), /*max_batch=*/20);
+    Tensor logits({20, 10});
+    // Warm-up touches the workspace's CSR staging block; the steady state
+    // must stage into it without allocating.
+    session.run_rows(x.data(), 20, logits.data());
+    audit::AllocGuard guard("Session::run_rows csr");
+    session.run_rows(x.data(), 20, logits.data());
+    session.run_rows(x.data(), 1, logits.data());
+    EXPECT_EQ(guard.allocations(), 0)
+        << "CSR layers must stage into the workspace, not the heap";
+    Tensor again({20, 10});
+    session.run_rows(x.data(), 20, logits.data());
+    session.run_rows(x.data(), 20, again.data());
+    EXPECT_EQ(logits.linf_distance(again), 0.0f)
+        << "CSR repeat runs must be bitwise deterministic";
+  }
+}
+
 }  // namespace
 }  // namespace rt

@@ -7,7 +7,9 @@
 // usable from many threads at once and stay bitwise deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "engine/engine.hpp"
 #include "hw/quant.hpp"
 #include "models/resnet.hpp"
+#include "prune/baselines.hpp"
 #include "prune/omp.hpp"
 #include "train/loop.hpp"
 
@@ -240,9 +243,8 @@ TEST(EngineSession, EvalHelpersAgreeWithEagerPath)
 }
 
 TEST(EngineParity, TinyGeometryKeepsCsrTapsInBounds) {
-  // Regression: at a 4x4 compiled geometry the deepest stride-2 conv sees a
-  // 1x1 input, where trunc-toward-zero division used to emit a tap reading
-  // out of bounds (o1 = 1 instead of 0) and parity silently broke.
+  // At a 4x4 compiled geometry the deepest stride-2 conv sees a 1x1 input:
+  // most of its staged stride phases are pure border, and parity must hold.
   auto model = tiny_model(false, 91);
   train_briefly(*model, false, 92);
   OmpConfig prune_cfg;
@@ -261,6 +263,99 @@ TEST(EngineParity, TinyGeometryKeepsCsrTapsInBounds) {
   const CompiledTicket plan = Engine::compile(*model, options);
   Workspace ws(plan, 6);
   EXPECT_LE(eager.linf_distance(plan.predict(x, ws)), 1e-4f);
+}
+
+TEST(EngineSession, RowLogitsIndependentOfBatchMakeup) {
+  // The serving contract for fp32 plans: a row's logits depend only on the
+  // plan and the row. Batches of 16 and 17 straddle the CSR forward's
+  // staged sample block.
+  constexpr std::int64_t kPool = 24;
+  constexpr int kClasses = 10;
+  Rng rng(101);
+  const Tensor pool = Tensor::uniform({kPool, 3, 16, 16}, rng, 0.0f, 1.0f);
+  const std::int64_t row_floats = 3 * 16 * 16;
+
+  struct Kind {
+    const char* name;
+    float sparsity;
+    Granularity granularity;
+    PackedFormat expect;
+  };
+  const Kind kinds[] = {
+      {"dense", 0.0f, Granularity::kElement, PackedFormat::kDense},
+      {"csr90", 0.9f, Granularity::kElement, PackedFormat::kCsr},
+      {"csr98", 0.98f, Granularity::kElement, PackedFormat::kCsr},
+      {"compact", 0.5f, Granularity::kChannel, PackedFormat::kChannelCompact},
+  };
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    Rng model_rng(9);
+    auto model = make_micro_resnet18(kClasses, model_rng);
+    if (kind.sparsity > 0.0f) {
+      layerwise_magnitude_prune(*model, kind.sparsity, kind.granularity);
+    }
+    model->set_training(false);
+    auto plan = std::make_shared<const CompiledTicket>(Engine::compile(*model));
+    ASSERT_TRUE(std::any_of(
+        plan->layers().begin(), plan->layers().end(),
+        [&](const LayerPlan& l) { return l.format == kind.expect; }));
+
+    Session solo(plan, /*max_batch=*/1);
+    const Tensor alone = solo.predict(pool);
+    Session wide(plan, /*max_batch=*/64);
+    const Tensor chunked = wide.predict(pool);
+    ASSERT_EQ(std::memcmp(alone.data(), chunked.data(),
+                          sizeof(float) * kPool * kClasses),
+              0)
+        << "max_batch 1 and 64 sessions disagree";
+
+    for (const std::int64_t batch : {7, 16, 17, 64}) {
+      Tensor x({batch, 3, 16, 16});
+      Tensor logits({batch, kClasses});
+      // Rotation k puts pool row (k + j) % kPool at position j, so every row
+      // sits at every position once.
+      for (std::int64_t k = 0; k < kPool; ++k) {
+        for (std::int64_t j = 0; j < batch; ++j) {
+          std::memcpy(x.data() + j * row_floats,
+                      pool.data() + ((k + j) % kPool) * row_floats,
+                      sizeof(float) * row_floats);
+        }
+        wide.run_rows(x.data(), batch, logits.data());
+        for (std::int64_t j = 0; j < batch; ++j) {
+          const std::int64_t row = (k + j) % kPool;
+          ASSERT_EQ(std::memcmp(logits.data() + j * kClasses,
+                                alone.data() + row * kClasses,
+                                sizeof(float) * kClasses),
+                    0)
+              << "row " << row << " at position " << j << " of " << batch;
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineSession, Int8CsrRepeatRunsAreBitwiseIdentical) {
+  // int8 activation scales are per batch, so only a repeat of the same
+  // batch is held to identical bytes.
+  Rng model_rng(9);
+  auto model = make_micro_resnet18(10, model_rng);
+  layerwise_magnitude_prune(*model, 0.9f, Granularity::kElement);
+  model->set_training(false);
+  CompileOptions options;
+  options.int8_weights = true;
+  options.force_format = PackedFormat::kCsr;
+  Session session(Engine::compile(*model, options), /*max_batch=*/64);
+  Rng rng(103);
+  for (const std::int64_t batch : {1, 7, 16, 17, 64}) {
+    const Tensor x = Tensor::uniform({batch, 3, 16, 16}, rng, 0.0f, 1.0f);
+    const Tensor first = session.predict(x);
+    const Tensor second = session.predict(x);
+    EXPECT_EQ(std::memcmp(first.data(), second.data(),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              first.numel())),
+              0)
+        << "batch " << batch;
+  }
 }
 
 TEST(EngineCompile, RejectsMismatchedGeometry) {

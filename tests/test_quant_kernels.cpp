@@ -181,26 +181,6 @@ TEST(QuantGemm, NtHeadShapeMatchesIntegerReference) {
   }
 }
 
-TEST(QuantHelpers, AxpyMatchesScalarAtAllLengths) {
-  Rng rng(13);
-  for (std::int64_t n = 0; n <= 67; ++n) {
-    const auto x = random_s8(std::max<std::int64_t>(n, 1), rng, 0.2f);
-    std::vector<std::int32_t> y(static_cast<std::size_t>(n));
-    std::vector<std::int32_t> want(static_cast<std::size_t>(n));
-    for (std::int64_t j = 0; j < n; ++j) {
-      y[static_cast<std::size_t>(j)] = want[static_cast<std::size_t>(j)] =
-          rng.uniform_int(-1000, 1000);
-    }
-    const std::int32_t v = rng.uniform_int(-127, 127);
-    axpy_s8_s32(x.data(), v, y.data(), n);
-    for (std::int64_t j = 0; j < n; ++j) {
-      want[static_cast<std::size_t>(j)] +=
-          v * static_cast<std::int32_t>(x[static_cast<std::size_t>(j)]);
-    }
-    ASSERT_EQ(y, want) << "n=" << n;
-  }
-}
-
 /// Integer im2col reference for the s8 conv: exact signed accumulation,
 /// then the shared requant expression.
 std::vector<float> conv_s8_reference(const std::vector<std::uint8_t>& xq,
